@@ -108,6 +108,14 @@ class RunConfig:
     witness_cap: int = DEFAULT_WITNESS_CAP
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on, which can be fewer than the machine's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _read_matrix(path: str) -> BitMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -396,12 +404,12 @@ def _add_common(sub: argparse.ArgumentParser, *, budget: bool = True,
                          help="output format (default text)")
     if budget:
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="largest subset scan allowed "
+                         help="most subsets scanned or DP states visited "
                               f"(default {DEFAULT_BUDGET})")
     if threads:
         sub.add_argument("--threads", type=int, default=0,
                          help="worker processes for large scans "
-                              "(default: all cores)")
+                              "(default: all usable cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +477,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         paths = paths + (args.dual,)
     threads = getattr(args, "threads", 1)
     if threads == 0:
-        threads = os.cpu_count() or 1
+        threads = _usable_cores()
     return RunConfig(
         command=args.command,
         paths=paths,

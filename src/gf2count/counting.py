@@ -1,17 +1,22 @@
 """Counting full-rank k x k column submatrices of a binary k x n matrix.
 
-Two independent routes to the same pair of numbers:
+Three independent routes to the same pair of numbers:
 
 * a closed-form count driven by a weight distribution, exact whenever
   the minimum distance is large enough that no column subset can avoid
-  two different codewords at once, and
+  two different codewords at once,
 
-* a brute-force scan over all C(n, k) column subsets, always exact but
-  limited by an explicit work budget.
+* a dynamic program over column spans that counts the bases of the
+  column matroid, always exact and far cheaper than listing subsets, and
 
-``analyze`` ties the two together: it picks the cheaper side (code or
-dual) for the distribution, checks the distance condition, applies the
-formula when it is valid and falls back to the scan when it is not.
+* a brute-force scan over all C(n, k) column subsets, always exact and
+  the only route that can list the subsets.
+
+The DP and the scan are limited by one work budget, counted in DP
+states visited or subsets scanned.  ``analyze`` ties them together: it
+picks the cheaper side (code or dual) for the distribution, checks the
+distance condition, applies the formula when it is valid and falls back
+to the DP when it is not.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -23,7 +28,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from multiprocessing import get_context
 from typing import Optional
 
 from .codes import (
@@ -186,14 +190,17 @@ def brute_force_counts(
         BudgetError: C(n, k) exceeds budget.
     """
     k, n = m.rows, m.cols
-    if rank(m) != k:
-        raise RankError(f"matrix has rank {rank(m)}, full row rank {k} required")
+    got = rank(m)
+    if got != k:
+        raise RankError(f"matrix has rank {got}, full row rank {k} required")
     total = comb(n, k)
     if total > budget:
         raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
 
     colv = m.column_ints()
     if workers > 1 and total >= parallel_threshold:
+        from multiprocessing import get_context
+
         blocks = workers * 4
         bounds = [total * b // blocks for b in range(blocks + 1)]
         tasks = [
@@ -219,6 +226,72 @@ def brute_force_counts(
             if len(ind_out) > set_list_limit:
                 ind_out = None
     return BruteForceResult(singular, total - singular, dep_out, ind_out)
+
+
+def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of linearly independent r-subsets of gen's columns, r = gen.rows.
+
+    These are the bases of the column matroid of a full-row-rank gen
+    (0 when gen is rank deficient, 1 when r = 0).  The columns are
+    walked in order, keeping a dict from the span of the columns taken
+    so far to the number of subsets that reach it.  A span is keyed by
+    its reduced echelon basis: ints in descending order, each alone in
+    holding its own leading bit, which makes the key unique per span.
+    Skipping a column is allowed only while enough columns remain to
+    reach dimension r, and taking one only when it lies outside the
+    span; a take that reaches dimension r is counted at once instead of
+    becoming a state.  The states are bounded by the distinct spans of
+    column subsets, usually far fewer than C(n, r).
+
+    Raises:
+        BudgetError: the states visited, summed over all columns, exceed
+            budget.  One state visit is the scan's unit of one subset.
+    """
+    r, n = gen.rows, gen.cols
+    if r == 0:
+        return 1
+    last = r - 1
+    states: dict[tuple[int, ...], int] = {(): 1}
+    full = 0
+    visits = 0
+    for j, v in enumerate(gen.column_ints()):
+        visits += len(states)
+        if visits > budget:
+            raise BudgetError(f"subset DP passed {budget} state visits")
+        skip_dim = r - (n - 1 - j)  # smallest dimension that may skip column j
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        for basis, count in states.items():
+            dim = len(basis)
+            if dim >= skip_dim:
+                nxt[basis] = get(basis, 0) + count
+            w = v
+            for b in basis:  # clear each pivot bit w holds
+                if w ^ b < w:
+                    w ^= b
+            if not w:
+                continue
+            if dim == last:
+                full += count
+                continue
+            # clear w's leading bit from the basis vectors above it and
+            # insert w in descending place
+            top = 1 << (w.bit_length() - 1)
+            key = []
+            placed = False
+            for b in basis:
+                if b & top:
+                    b ^= w
+                elif not placed and b < w:
+                    key.append(w)
+                    placed = True
+                key.append(b)
+            if not placed:
+                key.append(w)
+            span = tuple(key)
+            nxt[span] = get(span, 0) + count
+        states = nxt
+    return full
 
 
 @dataclass(frozen=True)
@@ -309,7 +382,6 @@ def analyze(
     collect_sets: bool = False,
     set_list_limit: Optional[int] = None,
     workers: int = 1,
-    parallel_threshold: int = PARALLEL_THRESHOLD,
 ) -> CountReport:
     """Count invertible and singular k x k column selections of m.
 
@@ -320,19 +392,24 @@ def analyze(
     exactly when its complement is invertible for the dual.
 
     Modes:
-        auto: formula when the distance condition holds, scan otherwise.
+        auto: formula when the distance condition holds, subset DP
+            otherwise.
         formula: closed form only; ConditionError if the condition fails.
         oracle: subset scan only.
-        both: run both and require exact agreement (ConsistencyError).
+        both: run formula and scan and require exact agreement
+            (ConsistencyError).
 
     collect_sets makes the scan run even in auto mode (the lists cannot
-    come from the formula); with a valid condition the two methods are
-    then cross-checked and the report says method "both".
+    come from the formula or the DP); with a valid condition the two
+    methods are then cross-checked and the report says method "both".
+    A DP answer is reported as method "oracle", an exact count that did
+    not come from the formula.
 
     Raises:
         RankError: m is rank deficient.
         ConditionError: mode needs the formula but the condition fails.
-        BudgetError: scan size or enumeration dimension over budget.
+        BudgetError: DP states, scan size or enumeration dimension over
+            budget.
         ConsistencyError: formula and scan disagree.
     """
     if mode not in ("auto", "formula", "oracle", "both"):
@@ -342,11 +419,10 @@ def analyze(
 
     sf = systematic_form(m)
     k, n = sf.k, sf.n
+    total = comb(n, k)
     side = "primal" if k < n - k else "dual"
-    if side == "primal":
-        we = weight_enumerator(sf.matrix, max_enum_dim)
-    else:
-        we = weight_enumerator(dual_of(sf), max_enum_dim)
+    gen = sf.matrix if side == "primal" else dual_of(sf)
+    we = weight_enumerator(gen, max_enum_dim)
     try:
         d_star: Optional[int] = min_weight(we)
     except ZeroCodeError:
@@ -361,30 +437,29 @@ def analyze(
 
     formula_d: Optional[int] = None
     if holds and mode != "oracle":
-        formula_d = comb(n, k) - full_rank_count_formula(we, k, n)
+        formula_d = total - full_rank_count_formula(we, k, n)
 
     scan: Optional[BruteForceResult] = None
-    if mode in ("oracle", "both") or (mode == "auto" and (not holds or collect_sets)):
+    if mode in ("oracle", "both") or collect_sets:
         scan = brute_force_counts(
             m,
             budget=budget,
             collect_sets=collect_sets,
             set_list_limit=set_list_limit,
             workers=workers,
-            parallel_threshold=parallel_threshold,
         )
-
-    if scan is not None and formula_d is not None:
-        if scan.singular_count != formula_d:
+        singular = scan.singular_count
+        if formula_d is None:
+            method = "oracle"
+        elif formula_d == singular:
+            method = "both"
+        else:
             raise ConsistencyError(
-                f"formula gives D={formula_d} but the scan found "
-                f"D={scan.singular_count}"
+                f"formula gives D={formula_d} but the scan found D={singular}"
             )
-        method = "both"
-        singular = scan.singular_count
-    elif scan is not None:
+    elif not holds:
         method = "oracle"
-        singular = scan.singular_count
+        singular = total - basis_count(gen, budget=budget)
     else:
         method = "formula"
         singular = formula_d  # type: ignore[assignment]
@@ -396,7 +471,7 @@ def analyze(
         condition_holds=holds,
         side=side,
         singular_count=singular,
-        full_rank_count=comb(n, k) - singular,
+        full_rank_count=total - singular,
         method=method,
         enumerator=we,
         dependent_sets=None if scan is None else scan.dependent_sets,

@@ -116,6 +116,20 @@ def test_consistency_exit(capsys, monkeypatch):
     assert "forced disagreement" in err
 
 
+def test_threads_zero_uses_usable_cores(monkeypatch):
+    import gf2count.cli as cli
+
+    def threads_for(*argv):
+        return cli._config_from_args(cli.build_parser().parse_args(argv)).threads
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert threads_for("count", G74) == 2
+    assert threads_for("count", G74, "--threads", "5") == 5
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert threads_for("count", G74) == 64
+
+
 def test_unknown_subcommand_exit(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2

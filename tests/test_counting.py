@@ -1,9 +1,11 @@
 import json
+import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import load_fixture
 from gf2count import (
     BitMatrix,
     BudgetError,
@@ -14,6 +16,7 @@ from gf2count import (
     RankError,
     WeightEnumerator,
     analyze,
+    basis_count,
     brute_force_counts,
     complement_duality_check,
     condition_check,
@@ -21,12 +24,13 @@ from gf2count import (
     full_rank_count_formula,
     parse_matrix,
     permute_columns,
+    rank,
     row_op_invariance_check,
     singular_count_formula,
     systematic_form,
     weight_enumerator,
 )
-from naive import naive_subset_split
+from naive import naive_rank, naive_subset_split
 
 D_SETS_74 = {
     (0, 1, 2, 4),
@@ -351,3 +355,80 @@ def test_formula_oracle_agree_when_condition_holds(p_bits, k):
         assert rep.singular_count == scan.singular_count
     else:
         assert rep.method == "oracle"
+
+
+def _enumerated_side(m: BitMatrix) -> BitMatrix:
+    """The generator analyze counts on: the code or its dual, whichever is smaller."""
+    sf = systematic_form(m)
+    return sf.matrix if sf.k < sf.n - sf.k else dual_of(sf)
+
+
+@st.composite
+def full_rank_matrices(draw):
+    n = draw(st.integers(1, 9))
+    k = draw(st.sampled_from(sorted({1, max(n - 1, 1), max(n // 2, 1), n})))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(k)]
+    assume(naive_rank(rows) == k)
+    return rows
+
+
+@given(full_rank_matrices())
+@settings(max_examples=150, deadline=None)
+def test_basis_count_matches_naive(rows):
+    m = BitMatrix.from_lists(rows)
+    independent = len(naive_subset_split(rows)[1])
+    assert basis_count(m) == independent
+    # the complement count on the dual side, down to r = 0 at k = n
+    assert basis_count(dual_of(systematic_form(m))) == independent
+
+
+def test_basis_count_rank_deficient_is_zero():
+    assert basis_count(parse_matrix("11\n11")) == 0
+
+
+@pytest.mark.parametrize("name", [
+    "g_7_4.txt", "g_7_4_systematic.txt", "h_7_4.txt", "g_10_7.txt",
+    "g_10_7_systematic.txt", "g_15_11.txt", "effdist_3_6.txt",
+])
+def test_basis_count_matches_scan_on_fixtures(name):
+    m = load_fixture(name)
+    scan = brute_force_counts(m)
+    assert basis_count(m) == scan.full_rank_count
+    assert comb(m.cols, m.rows) - basis_count(_enumerated_side(m)) == scan.singular_count
+
+
+def test_basis_count_keys_states_by_span():
+    # every column is a nonzero vector of F_2^4, so at most the 67
+    # subspaces of F_2^4 are live at each column; a state key that
+    # depended on the order the columns were taken in would exceed that
+    cols = list(range(1, 16)) * 2
+    gen = BitMatrix(4, 30, tuple(
+        sum(((v >> i) & 1) << j for j, v in enumerate(cols)) for i in range(4)
+    ))
+    assert basis_count(gen, budget=30 * 67) == brute_force_counts(gen).full_rank_count
+
+
+def test_basis_count_budget(g107):
+    with pytest.raises(BudgetError):
+        basis_count(_enumerated_side(g107), budget=10)
+
+
+def _random_full_rank(k: int, n: int, seed: int) -> BitMatrix:
+    rng = random.Random(seed)
+    while True:
+        m = BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
+        if rank(m) == k:
+            return m
+
+
+def test_analyze_auto_counts_past_the_scan_budget():
+    # C(30, 5) = 142 506 subsets would refuse a scan at this budget, but
+    # the DP visits only a few thousand spans
+    m = _random_full_rank(5, 30, seed=3)
+    with pytest.raises(BudgetError):
+        analyze(m, mode="oracle", budget=10_000)
+    rep = analyze(m, mode="auto", budget=10_000)
+    assert not rep.condition_holds
+    assert rep.method == "oracle"
+    assert rep.full_rank_count == basis_count(m)
+    assert rep.singular_count + rep.full_rank_count == comb(30, 5)
