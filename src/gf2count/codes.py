@@ -10,7 +10,6 @@ as a built-in consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .errors import (
@@ -23,8 +22,24 @@ from .errors import (
 )
 from .gf2 import BitMatrix, SystematicForm, check_index_set, mat_mul_transpose, rank
 
-# Enumerating 2^dim codewords; above this the loop is no longer interactive.
+# Largest dimension enumerated by default.  Random dimension-28 codes took
+# 2.1 s at length 36 and 4.3 s at length 56 (2-vCPU Xeon, Python 3.11);
+# each further dimension doubles that.
 DEFAULT_MAX_ENUM_DIM = 28
+
+# weight_enumerator slices once 2^k >= _SLICE_MIN_WORDS_PER_COORD * n.  A
+# sliced block costs about n big-int additions where the Gray walk costs
+# 2^k steps, so the crossover is a ratio, not a dimension.  Measured
+# Gray/sliced time (median of 6 random matrices, 2-vCPU Xeon, Python
+# 3.11): at 2^k/n = 21 it is 1.47-1.55 for k = 8, 9, 10 and 1.37 for
+# k = 11; at 2^k/n = 16 it is 1.04-1.24 for k = 7 to 11 (0.81 at k = 12,
+# n = 256); at 2^k/n = 13 it is 0.83-1.05.  Dimensions 3-6 (2^k/n <= 11)
+# run 1.3-5x faster on the Gray walk.
+_SLICE_MIN_WORDS_PER_COORD = 16
+# Message bits weighed per sliced block: n tables of 2^16 bits (8 KiB
+# each).  A dimension-20, length-36 code took 10.3 ms with 16 bits,
+# against 11.6 ms with 15, 10-11 ms with 17 and 11-13 ms with 18.
+_SLICE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -83,9 +98,12 @@ def weight_enumerator(
 ) -> WeightEnumerator:
     """Weight distribution of the row space of gen, by direct enumeration.
 
-    Walks all 2^k codewords in Gray-code order so each step is a single
-    row XOR and a popcount.  The tally is order-independent, so the
-    result is deterministic however the walk is arranged.
+    Small codes walk all 2^k codewords in Gray-code order, so each step
+    is a single row XOR and a popcount.  Once 2^k is at least
+    _SLICE_MIN_WORDS_PER_COORD times the length, _sliced_counts weighs
+    the codewords 2^_SLICE_BITS at a time instead.  The tally is
+    order-independent, so the result is deterministic however the walk
+    is arranged.
 
     Args:
         gen: generator matrix with full row rank.
@@ -96,12 +114,15 @@ def weight_enumerator(
         BudgetError: 2^k codewords is over the enumeration guard.
     """
     k, n = gen.rows, gen.cols
-    if rank(gen) != k:
-        raise RankError(f"generator has rank {rank(gen)}, expected {k}")
+    r = rank(gen)
+    if r != k:
+        raise RankError(f"generator has rank {r}, expected {k}")
     if k > max_enum_dim:
         raise BudgetError(
             f"enumerating 2^{k} codewords exceeds the dimension guard {max_enum_dim}"
         )
+    if 1 << k >= _SLICE_MIN_WORDS_PER_COORD * n:
+        return WeightEnumerator(n, tuple(_sliced_counts(gen.bits, n)))
     counts = [0] * (n + 1)
     counts[0] = 1
     word = 0
@@ -112,13 +133,77 @@ def weight_enumerator(
     return WeightEnumerator(n, tuple(counts))
 
 
+def _sliced_counts(rows: tuple[int, ...], n: int) -> list[int]:
+    """Weight counts of the row space of rows, 2^t messages per block.
+
+    With t = min(k, _SLICE_BITS), bit m of tables[j] is coordinate j of
+    the codeword whose low t message bits are m.  A bit-sliced counter
+    sums the n tables lane by lane, and the lanes are then split by
+    counter value.  The high k - t message bits are walked in Gray
+    order; each step complements the tables of the coordinates covered
+    by the row it adds.
+    """
+    k = len(rows)
+    t = min(k, _SLICE_BITS)
+    width = 1 << t
+    ones = (1 << width) - 1
+    # lane i: bit m set iff bit i of m is set (2^i zeros, 2^i ones, ...)
+    lane = ones ^ (ones >> (width >> 1))
+    tables = [0] * n
+    for i in range(t - 1, -1, -1):
+        row = rows[i]
+        while row:
+            low = row & -row
+            tables[low.bit_length() - 1] ^= lane
+            row ^= low
+        lane ^= lane >> (1 << i >> 1)
+    counts = [0] * (n + 1)
+    for step in range(1 << (k - t)):
+        if step:
+            row = rows[t + (step & -step).bit_length() - 1]
+            while row:
+                low = row & -row
+                tables[low.bit_length() - 1] ^= ones
+                row ^= low
+        # ripple-carry add of the n tables; digits[b] is bit b of each lane's sum
+        digits: list[int] = []
+        for carry in tables:
+            for b, d in enumerate(digits):
+                digits[b] = d ^ carry
+                carry &= d
+                if not carry:
+                    break
+            else:
+                if carry:
+                    digits.append(carry)
+        # split the lanes by sum, one digit at a time
+        parts = [(0, ones)]
+        for b, d in enumerate(digits):
+            split = []
+            for value, part in parts:
+                hi = part & d
+                lo = part ^ hi
+                if hi:
+                    split.append((value | 1 << b, hi))
+                if lo:
+                    split.append((value, lo))
+            parts = split
+        for value, part in parts:
+            counts[value] += part.bit_count()
+    return counts
+
+
 def macwilliams(we: WeightEnumerator, dim: int) -> WeightEnumerator:
     """Weight distribution of the dual code, via the transform identity.
 
     Expands W(x + y, x - y) / 2^dim with exact integer arithmetic: the
-    dual count for weight w is
+    dual count for weight w is (1 / 2^dim) * sum_d A_d * K_w(d), where
+    the Krawtchouk value
 
-        (1 / 2^dim) * sum_d A_d * sum_j (-1)^j C(d, j) C(n - d, w - j).
+        K_w(d) = sum_j (-1)^j C(d, j) C(n - d, w - j)
+
+    comes from the exact three-term recurrence K_0 = 1, K_{-1} = 0,
+    (w + 1) K_{w+1}(d) = (n - 2d) K_w(d) - (n - w + 1) K_{w-1}(d).
 
     Args:
         we: weight distribution of a code of dimension dim.
@@ -135,17 +220,17 @@ def macwilliams(we: WeightEnumerator, dim: int) -> WeightEnumerator:
         raise ConsistencyError(
             f"coefficients sum to {we.size}, a dimension-{dim} code has {1 << dim} words"
         )
+    totals = [0] * (n + 1)
+    for d, a_d in enumerate(we.coeffs):
+        if a_d == 0:
+            continue
+        prev, cur = 0, 1
+        for w in range(n + 1):
+            totals[w] += a_d * cur
+            # exact division: every K_w(d) is an integer
+            prev, cur = cur, ((n - 2 * d) * cur - (n - w + 1) * prev) // (w + 1)
     out = []
-    for w in range(n + 1):
-        total = 0
-        for d, a_d in enumerate(we.coeffs):
-            if a_d == 0:
-                continue
-            term = 0
-            for j in range(max(0, w - (n - d)), min(d, w) + 1):
-                part = comb(d, j) * comb(n - d, w - j)
-                term += -part if j & 1 else part
-            total += a_d * term
+    for w, total in enumerate(totals):
         q, rem = divmod(total, 1 << dim)
         if rem or q < 0:
             raise ConsistencyError(

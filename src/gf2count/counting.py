@@ -518,9 +518,9 @@ def complement_duality_check(
     res_h = brute_force_counts(h, budget=budget, collect_sets=True, workers=workers)
     if res_g.full_rank_count != res_h.full_rank_count:
         return False
-    everything = range(n)
+    everything = frozenset(range(n))
     complements = {
-        tuple(j for j in everything if j not in set(s)) for s in res_g.dependent_sets
+        tuple(sorted(everything.difference(s))) for s in res_g.dependent_sets
     }
     return complements == set(res_h.dependent_sets)
 

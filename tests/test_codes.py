@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gf2count import codes
 from gf2count import (
     BitMatrix,
     BudgetError,
@@ -24,9 +27,9 @@ from naive import naive_dual_basis, naive_weight_counts
 
 
 @st.composite
-def full_rank_matrices(draw, max_rows=5, max_cols=8):
+def full_rank_matrices(draw, max_rows=5, max_cols=8, min_rows=1):
     """Random full-row-rank matrix, built by rejection."""
-    k = draw(st.integers(1, max_rows))
+    k = draw(st.integers(min_rows, max_rows))
     n = draw(st.integers(k, max_cols))
     rows = draw(
         st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k).filter(
@@ -91,6 +94,82 @@ def test_weight_enumerator_matches_naive(m):
     assert list(weight_enumerator(m).coeffs) == counts
 
 
+def _is_sliced(m):
+    return 1 << m.rows >= codes._SLICE_MIN_WORDS_PER_COORD * m.cols
+
+
+@given(full_rank_matrices(min_rows=10, max_rows=13, max_cols=21))
+@settings(max_examples=12, deadline=None)
+def test_sliced_enumerator_matches_naive(m):
+    # one block of 2^k messages
+    assert _is_sliced(m) and m.rows <= codes._SLICE_BITS
+    counts = naive_weight_counts([m.row_list(i) for i in range(m.rows)])
+    assert list(weight_enumerator(m).coeffs) == counts
+
+
+@pytest.mark.parametrize("k, n", [(10, 40), (11, 64)])
+def test_sliced_enumerator_long_codes_match_naive(k, n):
+    # sums up to n need 6 and 7 counter digits
+    rng = random.Random(k * n)
+    while True:
+        m = BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
+        if rank(m) == k:
+            break
+    assert _is_sliced(m)
+    counts = naive_weight_counts([m.row_list(i) for i in range(m.rows)])
+    assert list(weight_enumerator(m).coeffs) == counts
+
+
+@given(full_rank_matrices(max_rows=6, max_cols=9), st.integers(1, 3))
+@settings(max_examples=60)
+def test_small_sliced_blocks_match_naive(m, block_bits):
+    # force the sliced path with tiny blocks, so the Gray walk over the
+    # high message bits runs across many blocks
+    counts = naive_weight_counts([m.row_list(i) for i in range(m.rows)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_SLICE_MIN_WORDS_PER_COORD", 0)
+        mp.setattr(codes, "_SLICE_BITS", block_bits)
+        assert list(weight_enumerator(m).coeffs) == counts
+
+
+@st.composite
+def wide_duals(draw):
+    """Systematic form of a dimension <= 4 code whose dual has dimension 17-18."""
+    k = draw(st.integers(1, 4))
+    n = k + draw(st.integers(17, 18))
+    rows = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k).filter(
+            lambda rs: rank(BitMatrix(k, n, tuple(rs))) == k
+        )
+    )
+    return systematic_form(BitMatrix(k, n, tuple(rows)))
+
+
+@given(wide_duals())
+@settings(max_examples=10, deadline=None)
+def test_multi_block_dual_matches_transform(sf):
+    # the dual spans several blocks; the primal stays on the Gray walk
+    h = dual_of(sf)
+    assert _is_sliced(h) and h.rows > codes._SLICE_BITS
+    assert not _is_sliced(sf.matrix)
+    assert weight_enumerator(h) == macwilliams(weight_enumerator(sf.matrix), sf.k)
+
+
+@pytest.mark.parametrize("k", [10, 16, 17])
+def test_sliced_enumerator_rejects_rank_deficient(k):
+    rows = tuple(1 << i for i in range(k - 1)) + (0b11,)
+    with pytest.raises(RankError):
+        weight_enumerator(BitMatrix(k, k + 2, rows))
+
+
+@pytest.mark.parametrize("k, guard", [(11, 10), (17, 16), (29, 28)])
+def test_sliced_enumerator_dimension_guard(k, guard):
+    m = BitMatrix.identity(k)
+    assert _is_sliced(m)
+    with pytest.raises(BudgetError):
+        weight_enumerator(m, max_enum_dim=guard)
+
+
 def test_min_weight(g74):
     assert min_weight(weight_enumerator(g74)) == 3
     with pytest.raises(ZeroCodeError):
@@ -141,6 +220,14 @@ def test_macwilliams_rejects_impossible_distribution():
     fake = WeightEnumerator(10, (1, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0))
     with pytest.raises(ConsistencyError):
         macwilliams(fake, 3)
+
+
+@given(full_rank_matrices(max_rows=5, max_cols=9))
+@settings(max_examples=40)
+def test_macwilliams_matches_naive_dual(m):
+    basis = naive_dual_basis([m.row_list(i) for i in range(m.rows)])
+    expected = naive_weight_counts(basis) if basis else [1] + [0] * m.cols
+    assert list(macwilliams(weight_enumerator(m), m.rows).coeffs) == expected
 
 
 @given(full_rank_matrices(max_rows=5, max_cols=9))
