@@ -27,20 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .codes import (
-    DEFAULT_MAX_ENUM_DIM,
-    WeightEnumerator,
-    dual_of,
-    macwilliams,
-    weight_enumerator,
-)
+from .codes import dual_of, macwilliams, weight_enumerator
 from .counting import (
     DEFAULT_BUDGET,
     CountReport,
@@ -84,36 +76,6 @@ _ERROR_EXITS = (
 )
 
 DEFAULT_WITNESS_CAP = 32
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation, one flat record shared by all subcommands."""
-
-    command: str
-    paths: tuple[str, ...] = ()
-    mode: str = "auto"
-    fmt: str = "text"
-    budget: int = DEFAULT_BUDGET
-    list_sets: bool = False
-    set_limit: Optional[int] = None
-    dual: bool = False
-    threads: int = 1
-    seed: int = 0
-    samples: Optional[int] = None
-    k: int = 0
-    n: int = 0
-    exhaustive: bool = False
-    trials: int = 20
-    witness_cap: int = DEFAULT_WITNESS_CAP
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on, which can be fewer than the machine's."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _read_matrix(path: str) -> BitMatrix:
@@ -178,28 +140,27 @@ def _report_text(rep: CountReport, permutation: Optional[tuple[int, ...]],
     return lines
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    m = _read_matrix(cfg.paths[0])
+def cmd_count(args: argparse.Namespace) -> int:
+    m = _read_matrix(args.matrix)
     rep = analyze(
         m,
-        cfg.mode,
-        budget=cfg.budget,
-        collect_sets=cfg.list_sets,
-        set_list_limit=cfg.set_limit,
-        workers=cfg.threads,
+        args.mode,
+        budget=args.budget,
+        collect_sets=args.list_sets,
+        set_list_limit=args.set_limit,
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(rep.to_json_dict())
     else:
         perm = systematic_form(m).col_perm
-        _emit(_report_text(rep, perm, cfg.set_limit, cfg.list_sets))
+        _emit(_report_text(rep, perm, args.set_limit, args.list_sets))
     return EXIT_OK
 
 
-def cmd_weights(cfg: RunConfig) -> int:
-    m = _read_matrix(cfg.paths[0])
+def cmd_weights(args: argparse.Namespace) -> int:
+    m = _read_matrix(args.matrix)
     checked = False
-    if cfg.dual:
+    if args.dual:
         direct = weight_enumerator(dual_of(systematic_form(m)))
         transformed = macwilliams(weight_enumerator(m), m.rows)
         if direct != transformed:
@@ -213,12 +174,12 @@ def cmd_weights(cfg: RunConfig) -> int:
     else:
         we = weight_enumerator(m)
         dim = m.rows
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(we.to_json_dict())
         return EXIT_OK
     lines = [
         f"length n: {we.n}",
-        f"dimension: {dim}" + (" (dual of the input)" if cfg.dual else ""),
+        f"dimension: {dim}" + (" (dual of the input)" if args.dual else ""),
         f"weight enumerator: {we.polynomial_str()}",
         f"coefficients: {list(we.coeffs)}",
     ]
@@ -228,25 +189,24 @@ def cmd_weights(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sets(cfg: RunConfig) -> int:
-    m = _read_matrix(cfg.paths[0])
+def cmd_sets(args: argparse.Namespace) -> int:
+    m = _read_matrix(args.matrix)
     rep = analyze(
         m,
         "oracle",
-        budget=cfg.budget,
+        budget=args.budget,
         collect_sets=True,
-        set_list_limit=cfg.set_limit,
-        workers=cfg.threads,
+        set_list_limit=args.set_limit,
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(rep.to_json_dict())
         return EXIT_OK
     lines = [f"matrix: {rep.k} x {rep.n}, C({rep.n}, {rep.k}) = "
              f"{comb(rep.n, rep.k)} selections"]
     lines.extend(_set_section("dependent sets", rep.singular_count,
-                              rep.dependent_sets, cfg.set_limit))
+                              rep.dependent_sets, args.set_limit))
     lines.extend(_set_section("independent sets", rep.full_rank_count,
-                              rep.independent_sets, cfg.set_limit))
+                              rep.independent_sets, args.set_limit))
     _emit(lines)
     return EXIT_OK
 
@@ -261,7 +221,7 @@ def _candidate_matrix(p_bits: int, k: int, n: int) -> BitMatrix:
     return BitMatrix(k, n, rows)
 
 
-def run_search(cfg: RunConfig) -> dict:
+def run_search(args: argparse.Namespace) -> dict:
     """Score candidate systematic matrices and keep the best ones.
 
     Every full-row-rank matrix is row-op plus column-permutation
@@ -270,20 +230,20 @@ def run_search(cfg: RunConfig) -> dict:
 
     Returns a JSON-ready summary dict.
     """
-    k, n = cfg.k, cfg.n
+    k, n = args.k, args.n
     width = k * (n - k)
-    if cfg.exhaustive:
-        if 1 << width > cfg.budget:
+    if args.exhaustive:
+        if 1 << width > args.budget:
             raise BudgetError(
                 f"exhaustive search needs 2^{width} = {1 << width} candidates, "
-                f"over budget {cfg.budget}"
+                f"over budget {args.budget}"
             )
         candidates = range(1 << width)
     else:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         seen: set[int] = set()
         ordered: list[int] = []
-        for _ in range(cfg.samples or 0):
+        for _ in range(args.samples):
             p = rng.getrandbits(width) if width else 0
             if p not in seen:
                 seen.add(p)
@@ -296,23 +256,23 @@ def run_search(cfg: RunConfig) -> dict:
     scored = 0
     for p_bits in candidates:
         g = _candidate_matrix(p_bits, k, n)
-        rep = analyze(g, "auto", budget=cfg.budget, workers=cfg.threads)
+        rep = analyze(g, "auto", budget=args.budget)
         scored += 1
         value = rep.full_rank_count
         if value > best:
             best = value
-            achieved = 1
-            witnesses = [g]
-        elif value == best:
+            achieved = 0
+            witnesses = []
+        if value == best:
             achieved += 1
-            if len(witnesses) < cfg.witness_cap:
+            if len(witnesses) < args.witnesses:
                 witnesses.append(g)
     return {
         "k": k,
         "n": n,
-        "exhaustive": cfg.exhaustive,
-        "samples": cfg.samples,
-        "seed": None if cfg.exhaustive else cfg.seed,
+        "exhaustive": args.exhaustive,
+        "samples": args.samples,
+        "seed": None if args.exhaustive else args.seed,
         "candidates_scored": scored,
         "total_subsets": comb(n, k),
         "max_full_rank": best,
@@ -322,12 +282,12 @@ def run_search(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    summary = run_search(cfg)
-    if cfg.fmt == "json":
+def cmd_search(args: argparse.Namespace) -> int:
+    summary = run_search(args)
+    if args.format == "json":
         _emit_json(summary)
         return EXIT_OK
-    kind = "exhaustive" if cfg.exhaustive else f"random (seed {cfg.seed})"
+    kind = "exhaustive" if args.exhaustive else f"random (seed {args.seed})"
     lines = [
         f"search: k={summary['k']}, n={summary['n']}, {kind}, "
         f"{summary['candidates_scored']} candidates",
@@ -344,18 +304,16 @@ def cmd_search(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    m = _read_matrix(cfg.paths[0])
+def cmd_verify(args: argparse.Namespace) -> int:
+    m = _read_matrix(args.matrix)
     sf = systematic_form(m)
-    supplied_h: Optional[BitMatrix] = None
-    if len(cfg.paths) > 1:
-        supplied_h = _read_matrix(cfg.paths[1])
 
     checks: list[tuple[str, bool]] = []
-    if supplied_h is None:
+    if args.dual is None:
         h = dual_of(sf)
         pairing = True
     else:
+        supplied_h = _read_matrix(args.dual)
         # orthogonality is judged against the input as given; the scan
         # below runs in systematic column order, so align h to match
         pairing = (
@@ -371,21 +329,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
     checks.append(("dual pairing", pairing))
 
-    if pairing:
-        duality = complement_duality_check(
-            sf, h, budget=cfg.budget, workers=cfg.threads
-        )
-    else:
-        duality = False
+    duality = pairing and complement_duality_check(sf, h, budget=args.budget)
     checks.append(("complement duality", duality))
 
     invariance = row_op_invariance_check(
-        m, cfg.trials, seed=cfg.seed, budget=cfg.budget, workers=cfg.threads
+        m, args.trials, seed=args.seed, budget=args.budget
     )
-    checks.append((f"row op invariance ({cfg.trials} trials)", invariance))
+    checks.append((f"row op invariance ({args.trials} trials)", invariance))
 
     passed = all(ok for _, ok in checks)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({
             "checks": [{"name": name, "passed": ok} for name, ok in checks],
             "passed": passed,
@@ -408,8 +361,7 @@ def _add_common(sub: argparse.ArgumentParser, *, budget: bool = True,
                               f"(default {DEFAULT_BUDGET})")
     if threads:
         sub.add_argument("--threads", type=int, default=0,
-                         help="worker processes for large scans "
-                              "(default: all usable cores)")
+                         help="no effect; scans run in one process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,36 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # "dual" is a flag on weights but a positional path on verify
-    paths: tuple[str, ...] = ()
-    if getattr(args, "matrix", None) is not None:
-        paths = (args.matrix,)
-    if args.command == "verify" and args.dual is not None:
-        paths = paths + (args.dual,)
-    threads = getattr(args, "threads", 1)
-    if threads == 0:
-        threads = _usable_cores()
-    return RunConfig(
-        command=args.command,
-        paths=paths,
-        mode=getattr(args, "mode", "auto"),
-        fmt=getattr(args, "format", "text"),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        list_sets=getattr(args, "list_sets", False),
-        set_limit=getattr(args, "set_limit", None),
-        dual=args.command == "weights" and args.dual,
-        threads=threads,
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", None),
-        k=getattr(args, "k", 0),
-        n=getattr(args, "n", 0),
-        exhaustive=getattr(args, "exhaustive", False),
-        trials=getattr(args, "trials", 20),
-        witness_cap=getattr(args, "witnesses", DEFAULT_WITNESS_CAP),
-    )
-
-
 _COMMANDS = {
     "count": cmd_count,
     "weights": cmd_weights,
@@ -519,11 +441,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--samples must be positive")
     if getattr(args, "budget", 1) < 1:
         parser.error("--budget must be positive")
-    if getattr(args, "threads", 0) < 0:
-        parser.error("--threads cannot be negative")
-    cfg = _config_from_args(args)
+    for name in ("threads", "trials", "witnesses", "set_limit"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            parser.error(f"--{name.replace('_', '-')} cannot be negative")
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except Gf2CountError as exc:
         for klass, code in _ERROR_EXITS:
             if isinstance(exc, klass):

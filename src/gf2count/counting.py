@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -49,9 +49,6 @@ from .errors import (
 from .gf2 import BitMatrix, SystematicForm, rank, systematic_form
 
 DEFAULT_BUDGET = 10_000_000
-
-# Below this many subsets the scan is not worth forking workers for.
-PARALLEL_THRESHOLD = 200_000
 
 SubsetIndex = tuple[int, ...]
 
@@ -125,18 +122,42 @@ class BruteForceResult:
     independent_sets: Optional[tuple[SubsetIndex, ...]]
 
 
-def _scan_range(args: tuple) -> tuple[int, list, list]:
-    """Classify combinations lo..hi (lexicographic rank) of k columns.
+def brute_force_counts(
+    m: BitMatrix,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    collect_sets: bool = False,
+    set_list_limit: Optional[int] = None,
+) -> BruteForceResult:
+    """Scan every k-column subset of m and classify it by rank.
 
-    Top-level so it can cross a process boundary.  Returns the singular
-    count for the range plus the collected subset lists (empty when
-    collect is off).
+    Subsets are visited in lexicographic order, so collected lists are
+    deterministic.
+
+    Args:
+        m: k x n matrix with full row rank.
+        budget: refuse scans with more than this many subsets.
+        collect_sets: also return the explicit subset lists.
+        set_list_limit: drop a collected list longer than this (None in
+            the result marks a dropped or uncollected list).
+
+    Raises:
+        RankError: m is rank deficient (every subset would be singular).
+        BudgetError: C(n, k) exceeds budget.
     """
-    colv, k, n, lo, hi, collect = args
+    k, n = m.rows, m.cols
+    got = rank(m)
+    if got != k:
+        raise RankError(f"matrix has rank {got}, full row rank {k} required")
+    total = comb(n, k)
+    if total > budget:
+        raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
+
+    colv = m.column_ints()
     singular = 0
     dep: list[SubsetIndex] = []
     ind: list[SubsetIndex] = []
-    for subset in islice(combinations(range(n), k), lo, hi):
+    for subset in combinations(range(n), k):
         slots = [0] * (k + 1)
         full = True
         for j in subset:
@@ -152,68 +173,12 @@ def _scan_range(args: tuple) -> tuple[int, list, list]:
                 full = False
                 break
         if full:
-            if collect:
+            if collect_sets:
                 ind.append(subset)
         else:
             singular += 1
-            if collect:
+            if collect_sets:
                 dep.append(subset)
-    return singular, dep, ind
-
-
-def brute_force_counts(
-    m: BitMatrix,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    collect_sets: bool = False,
-    set_list_limit: Optional[int] = None,
-    workers: int = 1,
-    parallel_threshold: int = PARALLEL_THRESHOLD,
-) -> BruteForceResult:
-    """Scan every k-column subset of m and classify it by rank.
-
-    Subsets are visited in lexicographic order, so collected lists are
-    deterministic; with several workers the range is split into
-    contiguous blocks and merged back in block order, which yields the
-    identical lists.
-
-    Args:
-        m: k x n matrix with full row rank.
-        budget: refuse scans with more than this many subsets.
-        collect_sets: also return the explicit subset lists.
-        set_list_limit: drop a collected list longer than this (None in
-            the result marks a dropped or uncollected list).
-        workers: process count; only engaged above parallel_threshold.
-
-    Raises:
-        RankError: m is rank deficient (every subset would be singular).
-        BudgetError: C(n, k) exceeds budget.
-    """
-    k, n = m.rows, m.cols
-    got = rank(m)
-    if got != k:
-        raise RankError(f"matrix has rank {got}, full row rank {k} required")
-    total = comb(n, k)
-    if total > budget:
-        raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
-
-    colv = m.column_ints()
-    if workers > 1 and total >= parallel_threshold:
-        from multiprocessing import get_context
-
-        blocks = workers * 4
-        bounds = [total * b // blocks for b in range(blocks + 1)]
-        tasks = [
-            (colv, k, n, bounds[b], bounds[b + 1], collect_sets)
-            for b in range(blocks)
-        ]
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_scan_range, tasks)
-        singular = sum(p[0] for p in parts)
-        dep = [s for p in parts for s in p[1]]
-        ind = [s for p in parts for s in p[2]]
-    else:
-        singular, dep, ind = _scan_range((colv, k, n, 0, total, collect_sets))
 
     dep_out: Optional[tuple[SubsetIndex, ...]] = None
     ind_out: Optional[tuple[SubsetIndex, ...]] = None
@@ -381,7 +346,6 @@ def analyze(
     max_enum_dim: int = DEFAULT_MAX_ENUM_DIM,
     collect_sets: bool = False,
     set_list_limit: Optional[int] = None,
-    workers: int = 1,
 ) -> CountReport:
     """Count invertible and singular k x k column selections of m.
 
@@ -437,7 +401,7 @@ def analyze(
 
     formula_d: Optional[int] = None
     if holds and mode != "oracle":
-        formula_d = total - full_rank_count_formula(we, k, n)
+        formula_d = singular_count_formula(we, k)
 
     scan: Optional[BruteForceResult] = None
     if mode in ("oracle", "both") or collect_sets:
@@ -446,7 +410,6 @@ def analyze(
             budget=budget,
             collect_sets=collect_sets,
             set_list_limit=set_list_limit,
-            workers=workers,
         )
         singular = scan.singular_count
         if formula_d is None:
@@ -484,7 +447,6 @@ def complement_duality_check(
     h: Optional[BitMatrix] = None,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> bool:
     """Scan both sides and verify the complement correspondence.
 
@@ -512,10 +474,8 @@ def complement_duality_check(
             f"scanning both sides needs {comb(n, k) + comb(n, n - k)} subsets, "
             f"over budget {budget}"
         )
-    res_g = brute_force_counts(
-        g.matrix, budget=budget, collect_sets=True, workers=workers
-    )
-    res_h = brute_force_counts(h, budget=budget, collect_sets=True, workers=workers)
+    res_g = brute_force_counts(g.matrix, budget=budget, collect_sets=True)
+    res_h = brute_force_counts(h, budget=budget, collect_sets=True)
     if res_g.full_rank_count != res_h.full_rank_count:
         return False
     everything = frozenset(range(n))
@@ -546,7 +506,6 @@ def row_op_invariance_check(
     *,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> bool:
     """Scan row-equivalent variants and require identical dependent sets.
 
@@ -569,13 +528,11 @@ def row_op_invariance_check(
             f"{trials + 1} scans of {comb(n, k)} subsets exceed budget {budget}"
         )
     rng = random.Random(seed)
-    base = brute_force_counts(m, budget=budget, collect_sets=True, workers=workers)
+    base = brute_force_counts(m, budget=budget, collect_sets=True)
     base_dep = set(base.dependent_sets)
     for _ in range(trials):
         variant = _random_row_equivalent(m, rng)
-        res = brute_force_counts(
-            variant, budget=budget, collect_sets=True, workers=workers
-        )
+        res = brute_force_counts(variant, budget=budget, collect_sets=True)
         if set(res.dependent_sets) != base_dep:
             return False
     return True

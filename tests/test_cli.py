@@ -116,18 +116,32 @@ def test_consistency_exit(capsys, monkeypatch):
     assert "forced disagreement" in err
 
 
-def test_threads_zero_uses_usable_cores(monkeypatch):
-    import gf2count.cli as cli
+def test_threads_has_no_effect(capsys):
+    for argv in (
+        ("count", G107, "--format", "json"),
+        ("search", "--k", "3", "--n", "6", "--samples", "40", "--format", "json"),
+        ("verify", G74, "--trials", "3", "--format", "json"),
+    ):
+        plain = run(capsys, *argv)
+        threaded = run(capsys, *argv, "--threads", "3")
+        assert plain[0] == 0
+        assert threaded == plain
+    code, _, err = run(capsys, "count", G74, "--threads", "-1")
+    assert code == 2
+    assert "--threads cannot be negative" in err
 
-    def threads_for(*argv):
-        return cli._config_from_args(cli.build_parser().parse_args(argv)).threads
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert threads_for("count", G74) == 2
-    assert threads_for("count", G74, "--threads", "5") == 5
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    assert threads_for("count", G74) == 64
+def test_negative_counts_are_usage_errors(capsys):
+    for argv in (
+        ("verify", G74, "--trials", "-1"),
+        ("search", "--k", "2", "--n", "4", "--exhaustive", "--witnesses", "-1"),
+        ("count", G74, "--list-sets", "--set-limit", "-1"),
+        ("sets", G74, "--set-limit", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "cannot be negative" in err
 
 
 def test_unknown_subcommand_exit(capsys):
@@ -204,6 +218,24 @@ def test_search_tiny_exhaustive(capsys):
     assert data["max_full_rank"] == 2
     assert data["achieved_by"] == 1
     assert data["witnesses"] == [["11"]]
+
+
+def test_search_witness_cap(capsys):
+    argv = ("search", "--k", "2", "--n", "4", "--exhaustive", "--format", "json")
+    _, out, _ = run(capsys, *argv)
+    every = json.loads(out)["witnesses"]
+    assert len(every) == 5
+    for cap in (0, 2):
+        code, out, _ = run(capsys, *argv, "--witnesses", str(cap))
+        assert code == 0
+        data = json.loads(out)
+        assert data["achieved_by"] == 5
+        assert data["witnesses"] == every[:cap]
+        assert data["witnesses_truncated"] is True
+    code, out, _ = run(capsys, *argv[:-2], "--witnesses", "0")
+    assert code == 0
+    assert "achieved by 5 candidates (showing 0)" in out
+    assert "witness 1:" not in out
 
 
 def test_search_sampled_is_deterministic(capsys):

@@ -149,14 +149,6 @@ def test_brute_force_rank_error():
         brute_force_counts(parse_matrix("11\n11"))
 
 
-def test_brute_force_parallel_matches_sequential(g74):
-    seq = brute_force_counts(g74, collect_sets=True)
-    par = brute_force_counts(
-        g74, collect_sets=True, workers=2, parallel_threshold=1
-    )
-    assert par == seq
-
-
 @given(st.integers(0, (1 << 12) - 1))
 @settings(max_examples=50, deadline=None)
 def test_brute_force_matches_naive(p_bits):
