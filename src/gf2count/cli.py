@@ -29,10 +29,11 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from math import comb
 from typing import Optional, Sequence
 
-from .codes import dual_of, macwilliams, weight_enumerator
+from .codes import CodePair, dual_of, macwilliams, weight_enumerator
 from .counting import (
     DEFAULT_BUDGET,
     CountReport,
@@ -44,18 +45,13 @@ from .errors import (
     BudgetError,
     ConditionError,
     ConsistencyError,
+    DimensionError,
     FormatError,
     Gf2CountError,
+    IndexSetError,
     RankError,
 )
-from .gf2 import (
-    BitMatrix,
-    mat_mul_transpose,
-    parse_matrix,
-    permute_columns,
-    rank,
-    systematic_form,
-)
+from .gf2 import BitMatrix, parse_matrix, permute_columns, systematic_form
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -108,11 +104,22 @@ def _set_section(label: str, count: int, sets, limit: Optional[int]) -> list[str
     return lines
 
 
-def _report_text(rep: CountReport, permutation: Optional[tuple[int, ...]],
+def _within_limit(rep: CountReport, limit: Optional[int]) -> CountReport:
+    """Drop each subset list longer than limit; the lists' lengths are the counts."""
+    if limit is None:
+        return rep
+    return replace(
+        rep,
+        dependent_sets=rep.dependent_sets if rep.singular_count <= limit else None,
+        independent_sets=rep.independent_sets if rep.full_rank_count <= limit else None,
+    )
+
+
+def _report_text(rep: CountReport, permutation: tuple[int, ...],
                  set_limit: Optional[int], sets_requested: bool) -> list[str]:
     side_dim = rep.n - rep.k if rep.side == "dual" else rep.k
     lines = [f"matrix: {rep.k} x {rep.n}, full row rank"]
-    if permutation is not None and any(p != j for j, p in enumerate(permutation)):
+    if any(p != j for j, p in enumerate(permutation)):
         order = ", ".join(str(p + 1) for p in permutation)
         lines.append(f"systematic form moves columns to positions [{order}]")
     else:
@@ -142,13 +149,8 @@ def _report_text(rep: CountReport, permutation: Optional[tuple[int, ...]],
 
 def cmd_count(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
-    rep = analyze(
-        m,
-        args.mode,
-        budget=args.budget,
-        collect_sets=args.list_sets,
-        set_list_limit=args.set_limit,
-    )
+    rep = analyze(m, args.mode, budget=args.budget, collect_sets=args.list_sets)
+    rep = _within_limit(rep, args.set_limit)
     if args.format == "json":
         _emit_json(rep.to_json_dict())
     else:
@@ -159,7 +161,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_weights(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
-    checked = False
     if args.dual:
         direct = weight_enumerator(dual_of(systematic_form(m)))
         transformed = macwilliams(weight_enumerator(m), m.rows)
@@ -169,7 +170,6 @@ def cmd_weights(args: argparse.Namespace) -> int:
                 "distribution disagree"
             )
         we = direct
-        checked = True
         dim = m.cols - m.rows
     else:
         we = weight_enumerator(m)
@@ -183,7 +183,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
         f"weight enumerator: {we.polynomial_str()}",
         f"coefficients: {list(we.coeffs)}",
     ]
-    if checked:
+    if args.dual:
         lines.append("cross-check against the transformed primal distribution: agree")
     _emit(lines)
     return EXIT_OK
@@ -191,13 +191,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 def cmd_sets(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
-    rep = analyze(
-        m,
-        "oracle",
-        budget=args.budget,
-        collect_sets=True,
-        set_list_limit=args.set_limit,
-    )
+    rep = analyze(m, "oracle", budget=args.budget, collect_sets=True)
+    rep = _within_limit(rep, args.set_limit)
     if args.format == "json":
         _emit_json(rep.to_json_dict())
         return EXIT_OK
@@ -309,24 +304,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     sf = systematic_form(m)
 
     checks: list[tuple[str, bool]] = []
-    if args.dual is None:
-        h = dual_of(sf)
-        pairing = True
-    else:
-        supplied_h = _read_matrix(args.dual)
-        # orthogonality is judged against the input as given; the scan
-        # below runs in systematic column order, so align h to match
-        pairing = (
-            supplied_h.cols == sf.n
-            and supplied_h.rows == sf.n - sf.k
-            and mat_mul_transpose(m, supplied_h).is_zero
-            and rank(supplied_h) == sf.n - sf.k
-        )
-        h = (
-            permute_columns(supplied_h, sf.col_perm)
-            if pairing and sf.permuted
-            else supplied_h
-        )
+    h: Optional[BitMatrix] = None  # derived by complement_duality_check
+    pairing = True
+    if args.dual is not None:
+        # the scan below runs in systematic column order, so align the
+        # supplied dual to it and let CodePair judge the pair
+        supplied = _read_matrix(args.dual)
+        try:
+            h = CodePair(sf, permute_columns(supplied, sf.col_perm)).h
+        except (DimensionError, IndexSetError, ConsistencyError, RankError):
+            pairing = False
     checks.append(("dual pairing", pairing))
 
     duality = pairing and complement_duality_check(sf, h, budget=args.budget)
@@ -351,10 +338,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, budget: bool = True,
-                fmt: bool = True, threads: bool = True) -> None:
-    if fmt:
-        sub.add_argument("--format", choices=("text", "json"), default="text",
-                         help="output format (default text)")
+                threads: bool = True) -> None:
+    sub.add_argument("--format", choices=("text", "json"), default="text",
+                     help="output format (default text)")
     if budget:
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="most subsets scanned or DP states visited "

@@ -16,7 +16,6 @@ from .errors import (
     BudgetError,
     ConsistencyError,
     DimensionError,
-    IndexSetError,
     RankError,
     ZeroCodeError,
 )
@@ -291,10 +290,6 @@ class CodePair:
             raise ConsistencyError("rows of h are not orthogonal to the code")
         if rank(self.h) != n - k:
             raise RankError("dual generator is rank deficient")
-
-    @classmethod
-    def from_systematic(cls, g: SystematicForm) -> "CodePair":
-        return cls(g, dual_of(g))
 
 
 def effective_distance(p: BitMatrix, t_set: Sequence[int]) -> int:

@@ -16,7 +16,8 @@ The DP and the scan are limited by one work budget, counted in DP
 states visited or subsets scanned.  ``analyze`` ties them together: it
 picks the cheaper side (code or dual) for the distribution, checks the
 distance condition, applies the formula when it is valid and falls back
-to the DP when it is not.
+to the DP when it is not.  Only the dual side needs the systematic form;
+the primal side is counted on the input as given.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -31,7 +32,6 @@ from math import comb
 from typing import Optional
 
 from .codes import (
-    DEFAULT_MAX_ENUM_DIM,
     CodePair,
     WeightEnumerator,
     dual_of,
@@ -127,7 +127,6 @@ def brute_force_counts(
     *,
     budget: int = DEFAULT_BUDGET,
     collect_sets: bool = False,
-    set_list_limit: Optional[int] = None,
 ) -> BruteForceResult:
     """Scan every k-column subset of m and classify it by rank.
 
@@ -137,9 +136,8 @@ def brute_force_counts(
     Args:
         m: k x n matrix with full row rank.
         budget: refuse scans with more than this many subsets.
-        collect_sets: also return the explicit subset lists.
-        set_list_limit: drop a collected list longer than this (None in
-            the result marks a dropped or uncollected list).
+        collect_sets: also return the explicit subset lists (None in
+            the result marks an uncollected list).
 
     Raises:
         RankError: m is rank deficient (every subset would be singular).
@@ -180,17 +178,9 @@ def brute_force_counts(
             if collect_sets:
                 dep.append(subset)
 
-    dep_out: Optional[tuple[SubsetIndex, ...]] = None
-    ind_out: Optional[tuple[SubsetIndex, ...]] = None
-    if collect_sets:
-        dep_out = tuple(dep)
-        ind_out = tuple(ind)
-        if set_list_limit is not None:
-            if len(dep_out) > set_list_limit:
-                dep_out = None
-            if len(ind_out) > set_list_limit:
-                ind_out = None
-    return BruteForceResult(singular, total - singular, dep_out, ind_out)
+    if not collect_sets:
+        return BruteForceResult(singular, total - singular, None, None)
+    return BruteForceResult(singular, total - singular, tuple(dep), tuple(ind))
 
 
 def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -222,7 +212,9 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
     for j, v in enumerate(gen.column_ints()):
         visits += len(states)
         if visits > budget:
-            raise BudgetError(f"subset DP passed {budget} state visits")
+            raise BudgetError(
+                f"subset DP needs at least {visits} state visits, over budget {budget}"
+            )
         skip_dim = r - (n - 1 - j)  # smallest dimension that may skip column j
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
@@ -265,8 +257,8 @@ class CountReport:
 
     ``d_star`` is None only for the degenerate k = n case, where the
     relevant code is trivial and the condition holds vacuously.  Subset
-    lists hold 0-based strictly increasing tuples and are None unless
-    collection was requested (and survived any list-size limit).
+    lists hold 0-based strictly increasing tuples and are None exactly
+    when collection was not requested.
     """
 
     n: int
@@ -343,9 +335,7 @@ def analyze(
     mode: str = "auto",
     *,
     budget: int = DEFAULT_BUDGET,
-    max_enum_dim: int = DEFAULT_MAX_ENUM_DIM,
     collect_sets: bool = False,
-    set_list_limit: Optional[int] = None,
 ) -> CountReport:
     """Count invertible and singular k x k column selections of m.
 
@@ -353,7 +343,10 @@ def analyze(
     dual has smaller dimension: the code itself when k < n - k, else the
     dual.  Counting k-subsets of the matrix is equivalent to counting
     (n - k)-subsets on the dual side because a selection is invertible
-    exactly when its complement is invertible for the dual.
+    exactly when its complement is invertible for the dual.  The primal
+    side enumerates and runs the DP on m itself, in the input's column
+    order; only the dual side reduces m to systematic form, to write
+    down a dual generator.
 
     Modes:
         auto: formula when the distance condition holds, subset DP
@@ -381,12 +374,12 @@ def analyze(
     if mode == "formula" and collect_sets:
         raise ValueError("explicit subset lists require the scan; use another mode")
 
-    sf = systematic_form(m)
-    k, n = sf.k, sf.n
+    k, n = m.rows, m.cols
     total = comb(n, k)
     side = "primal" if k < n - k else "dual"
-    gen = sf.matrix if side == "primal" else dual_of(sf)
-    we = weight_enumerator(gen, max_enum_dim)
+    # weight_enumerator checks the rank on the primal side, systematic_form on the dual
+    gen = m if side == "primal" else dual_of(systematic_form(m))
+    we = weight_enumerator(gen)
     try:
         d_star: Optional[int] = min_weight(we)
     except ZeroCodeError:
@@ -405,12 +398,7 @@ def analyze(
 
     scan: Optional[BruteForceResult] = None
     if mode in ("oracle", "both") or collect_sets:
-        scan = brute_force_counts(
-            m,
-            budget=budget,
-            collect_sets=collect_sets,
-            set_list_limit=set_list_limit,
-        )
+        scan = brute_force_counts(m, budget=budget, collect_sets=collect_sets)
         singular = scan.singular_count
         if formula_d is None:
             method = "oracle"

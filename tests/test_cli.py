@@ -93,6 +93,25 @@ def test_rank_deficient_exit(capsys, tmp_path):
     assert "rank" in err
 
 
+def test_count_set_limit_json(capsys):
+    # the CLI alone applies --set-limit: a list over it leaves no JSON key
+    for argv in (("count", G74, "--list-sets"), ("sets", G74)):
+        code, out, _ = run(capsys, *argv, "--set-limit", "10", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["dependent_sets"] == D_SETS_74_1BASED
+        assert "independent_sets" not in data
+
+
+def test_rank_deficient_primal_side_exit(capsys, tmp_path):
+    # k < n - k: the weight enumerator, not the systematic form, finds it
+    p = tmp_path / "flat.txt"
+    p.write_text("11010\n11010\n")
+    code, _, err = run(capsys, "count", str(p))
+    assert code == 4
+    assert "rank" in err
+
+
 def test_condition_exit(capsys):
     code, _, _ = run(capsys, "count", G107, "--mode", "formula")
     assert code == 5
@@ -102,6 +121,12 @@ def test_budget_exit(capsys):
     code, _, err = run(capsys, "count", G74, "--mode", "oracle", "--budget", "5")
     assert code == 6
     assert "budget" in err
+
+
+def test_dp_budget_exit_names_the_budget(capsys):
+    code, _, err = run(capsys, "count", G107, "--budget", "10")
+    assert code == 6
+    assert "budget 10" in err
 
 
 def test_consistency_exit(capsys, monkeypatch):
@@ -298,6 +323,17 @@ def test_verify_detects_bad_dual(capsys, tmp_path):
     assert code == 7
     assert "dual pairing: FAIL" in out
     assert "complement duality: FAIL" in out
+    assert "overall: FAIL" in out
+
+
+def test_verify_dual_of_wrong_shape_fails_pairing(capsys, tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("1010\n0111\n")
+    h = tmp_path / "h.txt"
+    h.write_text("10100\n01110\n")
+    code, out, _ = run(capsys, "verify", str(g), str(h), "--trials", "2")
+    assert code == 7
+    assert "dual pairing: FAIL" in out
     assert "overall: FAIL" in out
 
 
