@@ -33,7 +33,7 @@ from dataclasses import replace
 from math import comb
 from typing import Optional, Sequence
 
-from .codes import CodePair, dual_of, macwilliams, weight_enumerator
+from .codes import dual_of, macwilliams, weight_enumerator
 from .counting import (
     DEFAULT_BUDGET,
     CountReport,
@@ -303,21 +303,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
     sf = systematic_form(m)
 
-    checks: list[tuple[str, bool]] = []
-    h: Optional[BitMatrix] = None  # derived by complement_duality_check
+    supplied = None if args.dual is None else _read_matrix(args.dual)
     pairing = True
-    if args.dual is not None:
-        # the scan below runs in systematic column order, so align the
-        # supplied dual to it and let CodePair judge the pair
-        supplied = _read_matrix(args.dual)
-        try:
-            h = CodePair(sf, permute_columns(supplied, sf.col_perm)).h
-        except (DimensionError, IndexSetError, ConsistencyError, RankError):
-            pairing = False
-    checks.append(("dual pairing", pairing))
-
-    duality = pairing and complement_duality_check(sf, h, budget=args.budget)
-    checks.append(("complement duality", duality))
+    try:
+        # the scans run in systematic column order, so align a supplied
+        # dual to it; complement_duality_check judges the pair first
+        h = None if supplied is None else permute_columns(supplied, sf.col_perm)
+        duality = complement_duality_check(sf, h, budget=args.budget)
+    except (DimensionError, IndexSetError, ConsistencyError, RankError):
+        pairing = duality = False
+    checks = [("dual pairing", pairing), ("complement duality", duality)]
 
     invariance = row_op_invariance_check(
         m, args.trials, seed=args.seed, budget=args.budget

@@ -9,8 +9,11 @@ Three independent routes to the same pair of numbers:
 * a dynamic program over column spans that counts the bases of the
   column matroid, always exact and far cheaper than listing subsets, and
 
-* a brute-force scan over all C(n, k) column subsets, always exact and
-  the only route that can list the subsets.
+* a scan over all C(n, k) column subsets, always exact and the only
+  route that can list the subsets.  It walks column prefixes depth
+  first, keeping the subcode that vanishes on the prefix, so dependent
+  prefixes are cut off and each independent subset is marked in a
+  bitmap in lexicographic order; the checks compare these bitmaps.
 
 The DP and the scan are limited by one work budget, counted in DP
 states visited or subsets scanned.  ``analyze`` ties them together: it
@@ -27,9 +30,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from .codes import (
     CodePair,
@@ -114,12 +117,97 @@ def full_rank_count_formula(we: WeightEnumerator, k: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Outcome of the subset scan.  Set lists are None when not collected."""
+    """Outcome of the subset scan.  Set lists are None when not collected.
+
+    ``bitmap`` holds the whole independent family: bit i is set exactly
+    when the i-th k-subset in lexicographic order is independent.
+    """
 
     singular_count: int
     full_rank_count: int
     dependent_sets: Optional[tuple[SubsetIndex, ...]]
     independent_sets: Optional[tuple[SubsetIndex, ...]]
+    bitmap: int
+
+
+_INDEPENDENT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_DEPENDENT_FLAGS = bytes.maketrans(b"01", b"\1\0")
+
+
+def _independent_bitmap(rows: Sequence[int], n: int) -> int:
+    """Bitmap of the independent k-subsets of columns 0..n-1, k = len(rows) >= 2.
+
+    Bit i is set exactly when the i-th k-subset in lexicographic order
+    is independent.
+
+    A depth-first walk over column prefixes A.  Its state is a basis of
+    the subcode of the row space that vanishes on A, which keeps
+    k - |A| words exactly while A is independent.  A column x extends A
+    when some basis word has bit x set, so the OR of the basis lists
+    every next column at once and no dependent prefix is visited.
+    Taking x clears bit x from the other words with the first word that
+    has it and drops that word.  When one word w is left, its set bits
+    above the last column are the independent completions.  With the
+    subsets of prefix A ranked from ``pos``, those whose next column is
+    x start at pos + C(n - start, rem) - C(n - x, rem) (hockey-stick
+    identity), so a two-word state writes its whole run of ranks at once.
+
+    The runs go into a bytearray of binary digits, one byte per subset
+    and the lowest rank last, which ``int(text, 2)`` turns into the
+    bitmap.  Each first column owns one contiguous run of ranks and is
+    walked into its own text, so only one of those is held at a time.
+    """
+    k = len(rows)
+    binom = [[comb(a, r) for r in range(k + 1)] for a in range(n + 1)]
+    text = bytearray()  # text[-1 - r] is rank r of the current first column
+
+    def walk(basis: list[int], start: int, pos: int, last: int) -> None:
+        # take each next column x in [start, last]
+        rem = len(basis)
+        size = binom[n - start][rem]
+        viable = 0
+        for w in basis:
+            viable |= w
+        viable &= (2 << last) - (1 << start)
+        if rem == 2:
+            a, b = basis
+            block = 0
+            while viable:
+                low = viable & -viable
+                viable ^= low
+                x = low.bit_length() - 1
+                # the word of span{a, b} that vanishes on x
+                w = a if not a & low else (a ^ b if b & low else b)
+                block |= (w >> (x + 1)) << (size - binom[n - x][2])
+            if block:
+                used = size - binom[n - last - 1][2]  # the ranks up to column last
+                end = len(text) - pos
+                text[end - used:end] = format(block, "0%db" % used).encode()
+            return
+        while viable:
+            low = viable & -viable
+            viable ^= low
+            x = low.bit_length() - 1
+            child = []
+            pivot = 0
+            for w in basis:
+                if not w & low:
+                    child.append(w)
+                elif pivot:
+                    child.append(w ^ pivot)
+                else:
+                    pivot = w
+            walk(child, x + 1, pos + size - binom[n - x][rem], n - rem + 1)
+
+    bitmap = 0
+    base = 0  # rank of the first subset that starts at column `first`
+    for first in range(n - k + 1):
+        run = binom[n - first - 1][k - 1]
+        text = bytearray(b"0") * run
+        walk(list(rows), first, 0, first)
+        bitmap |= int(text, 2) << base
+        base += run
+    return bitmap
 
 
 def brute_force_counts(
@@ -128,10 +216,13 @@ def brute_force_counts(
     budget: int = DEFAULT_BUDGET,
     collect_sets: bool = False,
 ) -> BruteForceResult:
-    """Scan every k-column subset of m and classify it by rank.
+    """Classify every k-column subset of m by rank, as one bitmap.
 
-    Subsets are visited in lexicographic order, so collected lists are
-    deterministic.
+    A depth-first walk over column prefixes (see ``_independent_bitmap``)
+    marks the independent subsets in lexicographic order; dependent
+    prefixes are cut off unvisited.  The counts are the bitmap's
+    population and its complement, and collected lists are decoded from
+    it in the same lexicographic order, so they are deterministic.
 
     Args:
         m: k x n matrix with full row rank.
@@ -151,36 +242,19 @@ def brute_force_counts(
     if total > budget:
         raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
 
-    colv = m.column_ints()
-    singular = 0
-    dep: list[SubsetIndex] = []
-    ind: list[SubsetIndex] = []
-    for subset in combinations(range(n), k):
-        slots = [0] * (k + 1)
-        full = True
-        for j in subset:
-            v = colv[j]
-            while v:
-                h = v.bit_length()
-                b = slots[h]
-                if not b:
-                    slots[h] = v
-                    break
-                v ^= b
-            else:
-                full = False
-                break
-        if full:
-            if collect_sets:
-                ind.append(subset)
-        else:
-            singular += 1
-            if collect_sets:
-                dep.append(subset)
-
+    if k >= 2:
+        bitmap = _independent_bitmap(m.bits, n)
+    else:  # one subset per column, or only the empty one
+        bitmap = m.bits[0] if k else 1
+    independent = bitmap.bit_count()
     if not collect_sets:
-        return BruteForceResult(singular, total - singular, None, None)
-    return BruteForceResult(singular, total - singular, tuple(dep), tuple(ind))
+        return BruteForceResult(total - independent, independent, None, None, bitmap)
+    text = format(bitmap, "0%db" % total).encode()  # lowest rank last
+    dep, ind = (
+        tuple(compress(combinations(range(n), k), reversed(text.translate(flags))))
+        for flags in (_DEPENDENT_FLAGS, _INDEPENDENT_FLAGS)
+    )
+    return BruteForceResult(total - independent, independent, dep, ind, bitmap)
 
 
 def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -353,8 +427,8 @@ def analyze(
             otherwise.
         formula: closed form only; ConditionError if the condition fails.
         oracle: subset scan only.
-        both: run formula and scan and require exact agreement
-            (ConsistencyError).
+        both: run the formula, the subset DP and the scan and require
+            all three to agree exactly (ConsistencyError).
 
     collect_sets makes the scan run even in auto mode (the lists cannot
     come from the formula or the DP); with a valid condition the two
@@ -367,7 +441,7 @@ def analyze(
         ConditionError: mode needs the formula but the condition fails.
         BudgetError: DP states, scan size or enumeration dimension over
             budget.
-        ConsistencyError: formula and scan disagree.
+        ConsistencyError: formula, DP and scan disagree.
     """
     if mode not in ("auto", "formula", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -408,6 +482,12 @@ def analyze(
             raise ConsistencyError(
                 f"formula gives D={formula_d} but the scan found D={singular}"
             )
+        if mode == "both":
+            dp_d = total - basis_count(gen, budget=budget)
+            if dp_d != singular:
+                raise ConsistencyError(
+                    f"the scan found D={singular} but the subset DP found D={dp_d}"
+                )
     elif not holds:
         method = "oracle"
         singular = total - basis_count(gen, budget=budget)
@@ -438,10 +518,12 @@ def complement_duality_check(
 ) -> bool:
     """Scan both sides and verify the complement correspondence.
 
-    A k-subset of the generator columns is dependent exactly when its
-    complement is a dependent (n - k)-subset of the dual generator's
-    columns.  Both scans run in full and the dependent families are
-    compared as sets of complements.
+    A k-subset of the generator columns is independent exactly when its
+    complement is an independent (n - k)-subset of the dual generator's
+    columns.  Complementing reverses lexicographic order: if x is the
+    smallest element of A xor B and x is in A, then x is in the
+    complement of B.  So the dual's bitmap must equal the generator's
+    bitmap read backwards over C(n, k) bits.
 
     Args:
         g: systematic form of the matrix under test.
@@ -462,15 +544,9 @@ def complement_duality_check(
             f"scanning both sides needs {comb(n, k) + comb(n, n - k)} subsets, "
             f"over budget {budget}"
         )
-    res_g = brute_force_counts(g.matrix, budget=budget, collect_sets=True)
-    res_h = brute_force_counts(h, budget=budget, collect_sets=True)
-    if res_g.full_rank_count != res_h.full_rank_count:
-        return False
-    everything = frozenset(range(n))
-    complements = {
-        tuple(sorted(everything.difference(s))) for s in res_g.dependent_sets
-    }
-    return complements == set(res_h.dependent_sets)
+    width = comb(n, k)
+    forward = format(brute_force_counts(g.matrix, budget=budget).bitmap, f"0{width}b")
+    return brute_force_counts(h, budget=budget).bitmap == int(forward[::-1], 2)
 
 
 def _random_row_equivalent(m: BitMatrix, rng: random.Random) -> BitMatrix:
@@ -495,7 +571,7 @@ def row_op_invariance_check(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    """Scan row-equivalent variants and require identical dependent sets.
+    """Scan row-equivalent variants and require identical subset bitmaps.
 
     Row operations change the matrix but not which column subsets are
     dependent, so every variant must reproduce the base scan exactly.
@@ -516,11 +592,9 @@ def row_op_invariance_check(
             f"{trials + 1} scans of {comb(n, k)} subsets exceed budget {budget}"
         )
     rng = random.Random(seed)
-    base = brute_force_counts(m, budget=budget, collect_sets=True)
-    base_dep = set(base.dependent_sets)
+    base = brute_force_counts(m, budget=budget).bitmap
     for _ in range(trials):
         variant = _random_row_equivalent(m, rng)
-        res = brute_force_counts(variant, budget=budget, collect_sets=True)
-        if set(res.dependent_sets) != base_dep:
+        if brute_force_counts(variant, budget=budget).bitmap != base:
             return False
     return True

@@ -4,6 +4,7 @@ import sys
 
 from conftest import fixture_path
 from gf2count.cli import main
+from gf2count.codes import CodePair
 from gf2count.errors import ConsistencyError
 
 G74 = fixture_path("g_7_4.txt")
@@ -351,3 +352,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["I"] == 28
+
+
+def test_verify_judges_a_supplied_dual_once(capsys, monkeypatch):
+    judged = []
+    check = CodePair.__post_init__
+
+    def counted(pair):
+        judged.append(pair)
+        check(pair)
+
+    monkeypatch.setattr(CodePair, "__post_init__", counted)
+    code, out, _ = run(capsys, "verify", G74_SYS, H74, "--trials", "1")
+    assert code == 0 and "overall: pass" in out
+    assert len(judged) == 1

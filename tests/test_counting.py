@@ -1,11 +1,14 @@
 import json
 import random
+from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import load_fixture
+from gf2count import counting
 from gf2count import (
     BitMatrix,
     BudgetError,
@@ -30,7 +33,7 @@ from gf2count import (
     systematic_form,
     weight_enumerator,
 )
-from naive import naive_rank, naive_subset_split
+from naive import naive_dual_basis, naive_rank, naive_subset_split
 
 D_SETS_74 = {
     (0, 1, 2, 4),
@@ -440,3 +443,99 @@ def test_analyze_walks_the_primal_side_in_input_order():
     rep = analyze(m, budget=1_500)
     assert rep.side == "primal" and rep.method == "oracle"
     assert rep.full_rank_count == brute_force_counts(m).full_rank_count
+
+
+@st.composite
+def full_rank_with_repeats(draw):
+    """Full-row-rank k x n rows, k anywhere in 1..n, with zero and repeated columns.
+
+    k unit columns at distinct positions give the full rank; every other
+    column is drawn from a small pool that always holds the zero column.
+    """
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    pivots = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    pool = [0] + draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=3))
+    cols = [draw(st.sampled_from(pool)) for _ in range(n)]
+    for i, j in enumerate(pivots):
+        cols[j] = 1 << i
+    return [[(c >> i) & 1 for c in cols] for i in range(k)]
+
+
+def _lex_bitmap(family: set, n: int, size: int) -> int:
+    """Bit i set iff family holds the i-th size-subset of range(n) in lex order."""
+    subsets = combinations(range(n), size)
+    return sum(1 << i for i, s in enumerate(subsets) if s in family)
+
+
+@given(full_rank_with_repeats())
+@example([[1, 0, 1, 1, 0]])  # k = 1 with zero and repeated columns
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # k = n
+@example([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]])  # zero and repeated columns
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_naive_split(rows):
+    m = BitMatrix.from_lists(rows)
+    dep, ind = naive_subset_split(rows)
+    res = brute_force_counts(m, collect_sets=True)
+    assert list(res.dependent_sets) == dep
+    assert list(res.independent_sets) == ind
+    assert res.bitmap == _lex_bitmap(set(ind), m.cols, m.rows)
+    assert (res.singular_count, res.full_rank_count) == (len(dep), len(ind))
+
+
+@given(full_rank_with_repeats())
+@example([[1, 0, 1, 1, 0]])
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+@settings(max_examples=80, deadline=None)
+def test_dual_bitmap_is_generator_bitmap_reversed(rows):
+    k, n = len(rows), len(rows[0])
+    dual_rows = naive_dual_basis(rows)
+    h = BitMatrix.from_lists(dual_rows) if dual_rows else BitMatrix(0, n, ())
+    independent = set(naive_subset_split(rows)[1])
+    # an (n - k)-subset is independent for the dual iff its complement is for m
+    complements = {
+        t for t in combinations(range(n), n - k)
+        if tuple(j for j in range(n) if j not in t) in independent
+    }
+    g_bitmap = brute_force_counts(BitMatrix.from_lists(rows)).bitmap
+    h_bitmap = brute_force_counts(h).bitmap
+    total = comb(n, k)
+    assert h_bitmap == _lex_bitmap(complements, n, n - k)
+    assert h_bitmap == int(format(g_bitmap, f"0{total}b")[::-1], 2)
+
+
+def test_row_op_invariance_detects_a_changed_family(g74, monkeypatch):
+    # swapping columns 0 and 3 turns the dependent {0, 1, 2, 4} into
+    # {1, 2, 3, 4}, which is independent; a check that compared only
+    # counts, or nothing, would still pass
+    swap = (3, 1, 2, 0, 4, 5, 6)
+    assert (1, 2, 3, 4) not in D_SETS_74
+    monkeypatch.setattr(
+        counting, "_random_row_equivalent", lambda m, rng: permute_columns(m, swap)
+    )
+    assert not row_op_invariance_check(g74, trials=1)
+
+
+def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch):
+    scan = counting.brute_force_counts
+
+    def flip_on_dual(m, **kwargs):
+        res = scan(m, **kwargs)
+        return replace(res, bitmap=res.bitmap ^ 1) if m.rows == 3 else res
+
+    sf = systematic_form(g74_sys)
+    assert complement_duality_check(sf, h74)
+    monkeypatch.setattr(counting, "brute_force_counts", flip_on_dual)
+    assert not complement_duality_check(sf, h74)
+
+
+def test_oracle_scan_matches_dp_at_9x22():
+    m = _random_full_rank(9, 22, seed=4)
+    assert analyze(m, "oracle").full_rank_count == basis_count(m)
+
+
+def test_both_mode_checks_the_dp(g74, monkeypatch):
+    assert analyze(g74, mode="both").method == "both"
+    monkeypatch.setattr(counting, "basis_count", lambda gen, *, budget: 0)
+    with pytest.raises(ConsistencyError, match="DP"):
+        analyze(g74, mode="both")
