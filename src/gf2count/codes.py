@@ -10,15 +10,9 @@ as a built-in consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .errors import (
-    BudgetError,
-    ConsistencyError,
-    DimensionError,
-    RankError,
-    ZeroCodeError,
-)
+from .errors import BudgetError, ConsistencyError, DimensionError, RankError
 from .gf2 import BitMatrix, SystematicForm, check_index_set, mat_mul_transpose, rank
 
 # Largest dimension enumerated by default.  Random dimension-28 codes took
@@ -87,14 +81,8 @@ class WeightEnumerator:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "WeightEnumerator":
-        return cls(int(data["n"]), tuple(int(c) for c in data["coeffs"]))
 
-
-def weight_enumerator(
-    gen: BitMatrix, max_enum_dim: int = DEFAULT_MAX_ENUM_DIM
-) -> WeightEnumerator:
+def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
     """Weight distribution of the row space of gen, by direct enumeration.
 
     Small codes walk all 2^k codewords in Gray-code order, so each step
@@ -106,19 +94,19 @@ def weight_enumerator(
 
     Args:
         gen: generator matrix with full row rank.
-        max_enum_dim: refuse dimensions above this (BudgetError).
 
     Raises:
         RankError: gen is rank deficient (the walk would double-count).
-        BudgetError: 2^k codewords is over the enumeration guard.
+        BudgetError: k is over DEFAULT_MAX_ENUM_DIM.
     """
     k, n = gen.rows, gen.cols
     r = rank(gen)
     if r != k:
         raise RankError(f"generator has rank {r}, expected {k}")
-    if k > max_enum_dim:
+    if k > DEFAULT_MAX_ENUM_DIM:
         raise BudgetError(
-            f"enumerating 2^{k} codewords exceeds the dimension guard {max_enum_dim}"
+            f"enumerating 2^{k} codewords exceeds the dimension guard "
+            f"{DEFAULT_MAX_ENUM_DIM}"
         )
     if 1 << k >= _SLICE_MIN_WORDS_PER_COORD * n:
         return WeightEnumerator(n, tuple(_sliced_counts(gen.bits, n)))
@@ -239,16 +227,12 @@ def macwilliams(we: WeightEnumerator, dim: int) -> WeightEnumerator:
     return WeightEnumerator(n, tuple(out))
 
 
-def min_weight(we: WeightEnumerator) -> int:
-    """Smallest nonzero weight with a positive count.
-
-    Raises:
-        ZeroCodeError: the code has no nonzero word.
-    """
+def min_weight(we: WeightEnumerator) -> Optional[int]:
+    """Smallest nonzero weight with a positive count; None for the zero code."""
     for d in range(1, we.n + 1):
         if we.coeffs[d]:
             return d
-    raise ZeroCodeError("only the zero codeword exists, distance undefined")
+    return None
 
 
 def dual_of(g: SystematicForm) -> BitMatrix:

@@ -47,7 +47,6 @@ from .errors import (
     ConsistencyError,
     DimensionError,
     RankError,
-    ZeroCodeError,
 )
 from .gf2 import BitMatrix, SystematicForm, rank, systematic_form
 
@@ -100,19 +99,6 @@ def singular_count_formula(we: WeightEnumerator, k: int) -> int:
     return sum(
         we.coeffs[d] * comb(n - d, dim) for d in range(1, n - dim + 1) if we.coeffs[d]
     )
-
-
-def full_rank_count_formula(we: WeightEnumerator, k: int, n: int) -> int:
-    """C(n, k) minus the singular count; raises if that would go negative."""
-    if we.n != n:
-        raise DimensionError(f"enumerator length {we.n} does not match n={n}")
-    value = comb(n, k) - singular_count_formula(we, k)
-    if value < 0:
-        raise ConditionError(
-            "singular count exceeds the number of subsets; "
-            "the formula was applied outside its validity range"
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -382,27 +368,6 @@ class CountReport:
             ]
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CountReport":
-        def back(key: str) -> Optional[tuple[SubsetIndex, ...]]:
-            if key not in data:
-                return None
-            return tuple(tuple(j - 1 for j in s) for s in data[key])
-
-        return cls(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            d_star=None if data["d_star"] is None else int(data["d_star"]),
-            condition_holds=bool(data["condition_holds"]),
-            side=str(data["side"]),
-            singular_count=int(data["D"]),
-            full_rank_count=int(data["I"]),
-            method=str(data["method"]),
-            enumerator=WeightEnumerator.from_json_dict(data["enumerator"]),
-            dependent_sets=back("dependent_sets"),
-            independent_sets=back("independent_sets"),
-        )
-
 
 def analyze(
     m: BitMatrix,
@@ -454,10 +419,7 @@ def analyze(
     # weight_enumerator checks the rank on the primal side, systematic_form on the dual
     gen = m if side == "primal" else dual_of(systematic_form(m))
     we = weight_enumerator(gen)
-    try:
-        d_star: Optional[int] = min_weight(we)
-    except ZeroCodeError:
-        d_star = None
+    d_star = min_weight(we)
     holds = True if d_star is None else condition_check(d_star, k, n)
 
     if mode in ("formula", "both") and not holds:

@@ -26,10 +26,6 @@ class RankError(Gf2CountError):
     """A matrix required to have full row rank does not."""
 
 
-class ZeroCodeError(Gf2CountError):
-    """Minimum distance is undefined: the code contains only the zero word."""
-
-
 class ConditionError(Gf2CountError):
     """The distance condition needed by the counting formula does not hold."""
 

@@ -9,7 +9,7 @@ per-entry loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, FormatError, IndexSetError, RankError
 
@@ -61,15 +61,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexSetError(f"entry ({i}, {j}) outside {self.rows} x {self.cols}")
-        return (self.bits[i] >> j) & 1
-
     @property
     def is_zero(self) -> bool:
         return not any(self.bits)
@@ -97,22 +88,16 @@ class BitMatrix:
         return "\n".join(self.to_lines())
 
 
-def from_text_rows(lines: Iterable[str]) -> BitMatrix:
-    """Parse a matrix from text lines.
+def parse_matrix(text: str) -> BitMatrix:
+    """Parse a matrix from text.
 
     One row per line, characters '0' and '1'.  Whitespace inside a row is
     ignored, as are blank lines and lines whose first non-space character
     is '#'.  Ragged or empty input raises FormatError.
-
-    Args:
-        lines: iterable of text lines, newline terminators optional.
-
-    Returns:
-        The parsed BitMatrix.
     """
     packed: list[int] = []
     cols = -1
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -136,11 +121,6 @@ def from_text_rows(lines: Iterable[str]) -> BitMatrix:
     if not packed:
         raise FormatError("no matrix rows found")
     return BitMatrix(len(packed), cols, tuple(packed))
-
-
-def parse_matrix(text: str) -> BitMatrix:
-    """Parse a matrix from a single text blob (see from_text_rows)."""
-    return from_text_rows(text.splitlines())
 
 
 def rank(m: BitMatrix) -> int:
@@ -179,10 +159,6 @@ class SystematicForm:
     @property
     def n(self) -> int:
         return self.matrix.cols
-
-    @property
-    def permuted(self) -> bool:
-        return any(p != j for j, p in enumerate(self.col_perm))
 
     def parity_block(self) -> BitMatrix:
         """The k x (n - k) block P to the right of the identity."""
@@ -249,14 +225,6 @@ def permute_columns(m: BitMatrix, perm: Sequence[int]) -> BitMatrix:
             row ^= low
         out.append(acc)
     return BitMatrix(m.rows, m.cols, tuple(out))
-
-
-def select_columns(m: BitMatrix, index_set: Sequence[int]) -> BitMatrix:
-    """Submatrix of the columns named by a strictly increasing 0-based set."""
-    check_index_set(index_set, m.cols)
-    colv = m.column_ints()
-    picked = tuple(colv[j] for j in index_set)
-    return BitMatrix(len(index_set), m.rows, picked).transpose()
 
 
 def check_index_set(index_set: Sequence[int], n: int) -> None:

@@ -13,7 +13,6 @@ from gf2count import (
     IndexSetError,
     RankError,
     WeightEnumerator,
-    ZeroCodeError,
     dual_of,
     effective_distance,
     macwilliams,
@@ -50,7 +49,6 @@ def test_enumerator_validation():
 
 def test_enumerator_json_roundtrip():
     we = WeightEnumerator(7, (1, 0, 0, 0, 7, 0, 0, 0))
-    assert WeightEnumerator.from_json_dict(we.to_json_dict()) == we
     assert we.to_json_dict() == {"n": 7, "coeffs": [1, 0, 0, 0, 7, 0, 0, 0]}
 
 
@@ -75,10 +73,12 @@ def test_weight_enumerator_rejects_rank_deficient():
         weight_enumerator(parse_matrix("11\n11"))
 
 
-def test_weight_enumerator_dimension_guard():
-    wide = BitMatrix.identity(12)
+def test_weight_enumerator_dimension_guard(monkeypatch):
+    monkeypatch.setattr(codes, "DEFAULT_MAX_ENUM_DIM", 4)
+    wide = BitMatrix.identity(5)
+    assert not _is_sliced(wide)
     with pytest.raises(BudgetError):
-        weight_enumerator(wide, max_enum_dim=10)
+        weight_enumerator(wide)
 
 
 def test_weight_enumerator_zero_row_matrix():
@@ -163,17 +163,17 @@ def test_sliced_enumerator_rejects_rank_deficient(k):
 
 
 @pytest.mark.parametrize("k, guard", [(11, 10), (17, 16), (29, 28)])
-def test_sliced_enumerator_dimension_guard(k, guard):
+def test_sliced_enumerator_dimension_guard(monkeypatch, k, guard):
+    monkeypatch.setattr(codes, "DEFAULT_MAX_ENUM_DIM", guard)
     m = BitMatrix.identity(k)
     assert _is_sliced(m)
     with pytest.raises(BudgetError):
-        weight_enumerator(m, max_enum_dim=guard)
+        weight_enumerator(m)
 
 
 def test_min_weight(g74):
     assert min_weight(weight_enumerator(g74)) == 3
-    with pytest.raises(ZeroCodeError):
-        min_weight(WeightEnumerator(2, (1, 0, 0)))
+    assert min_weight(WeightEnumerator(2, (1, 0, 0))) is None
 
 
 def test_dual_of_known_pair(g74_sys, h74):
@@ -276,6 +276,8 @@ def test_effective_distance_validation(effdist36):
         effective_distance(p, ())
     with pytest.raises(IndexSetError):
         effective_distance(p, (2, 1))
+    with pytest.raises(IndexSetError):
+        effective_distance(p, (0, 0))
     with pytest.raises(IndexSetError):
         effective_distance(p, (0, 3))
 

@@ -24,7 +24,6 @@ from gf2count import (
     complement_duality_check,
     condition_check,
     dual_of,
-    full_rank_count_formula,
     parse_matrix,
     permute_columns,
     rank,
@@ -97,20 +96,6 @@ def test_singular_count_formula_rejects_wrong_dimension():
     we = WeightEnumerator(8, (1, 0, 3, 0, 0, 0, 0, 0, 0))
     with pytest.raises(DimensionError):
         singular_count_formula(we, 4)  # dim 2 fits neither 4 nor 4
-
-
-def test_full_rank_count_formula_examples():
-    we74 = WeightEnumerator(7, (1, 0, 0, 0, 7, 0, 0, 0))
-    assert full_rank_count_formula(we74, 4, 7) == 28
-    we15 = WeightEnumerator(15, (1,) + (0,) * 7 + (15,) + (0,) * 7)
-    assert full_rank_count_formula(we15, 11, 15) == 840
-
-
-def test_full_rank_count_formula_negative_alarm():
-    # sum exceeds C(4, 2): the formula was used outside its region
-    we = WeightEnumerator(4, (1, 3, 0, 0, 0))
-    with pytest.raises(ConditionError):
-        full_rank_count_formula(we, 2, 4)
 
 
 def test_brute_force_known_sets(g74):
@@ -247,7 +232,11 @@ def test_analyze_counts_are_column_permutation_invariant(g74):
 def test_report_json_roundtrip(g74):
     rep = analyze(g74, mode="both", collect_sets=True)
     data = json.loads(json.dumps(rep.to_json_dict()))
-    assert CountReport.from_json_dict(data) == rep
+    assert data["enumerator"] == {"n": 7, "coeffs": list(rep.enumerator.coeffs)}
+    assert data["dependent_sets"] == [[j + 1 for j in s] for s in rep.dependent_sets]
+    assert data["independent_sets"] == [
+        [j + 1 for j in s] for s in rep.independent_sets
+    ]
 
 
 def test_report_json_shape(g74):

@@ -1,9 +1,12 @@
-"""Every name a module imports must be used in that module.
+"""Every name a module imports must be used in that module, and every
+exported name must be needed outside the tests.
 
-No linter ships with the package, so this guard parses each source
-module with ``ast`` and reports imported names that are never
-referenced.  ``__init__.py`` is skipped: it imports names to re-export
-them.
+No linter ships with the package, so these guards parse the source
+modules with ``ast``.  The first reports imported names that are never
+referenced; ``__init__.py`` is skipped, since it imports names to
+re-export them.  The second requires each name in ``gf2count.__all__``
+to be read by another module of the package or imported by the
+acceptance tests.
 """
 
 import ast
@@ -11,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gf2count"
+import gf2count
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gf2count"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -43,3 +49,28 @@ def test_guard_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def loaded_names(source: str) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def imported_from_package(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "gf2count"
+        for alias in node.names
+    }
+
+
+def test_public_names_are_needed_outside_the_tests():
+    acceptance = (TESTS / "test_acceptance.py").read_text(encoding="utf-8")
+    needed = imported_from_package(acceptance)
+    for path in MODULES:
+        needed |= loaded_names(path.read_text(encoding="utf-8"))
+    assert sorted(set(gf2count.__all__) - needed) == []
