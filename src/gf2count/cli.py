@@ -77,10 +77,11 @@ DEFAULT_WITNESS_CAP = 32
 def _read_matrix(path: str) -> BitMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_matrix(fh.read())
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _emit(lines: Sequence[str]) -> None:

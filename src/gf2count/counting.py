@@ -6,14 +6,17 @@ Three independent routes to the same pair of numbers:
   the minimum distance is large enough that no column subset can avoid
   two different codewords at once,
 
-* a dynamic program over column spans that counts the bases of the
-  column matroid, always exact and far cheaper than listing subsets, and
+* a dynamic program that counts the bases of the column matroid,
+  always exact and far cheaper than listing subsets, and
 
 * a scan over all C(n, k) column subsets, always exact and the only
-  route that can list the subsets.  It walks column prefixes depth
-  first, keeping the subcode that vanishes on the prefix, so dependent
-  prefixes are cut off and each independent subset is marked in a
-  bitmap in lexicographic order; the checks compare these bitmaps.
+  route that can list the subsets.
+
+Both exact routes walk column prefixes keeping the subcode of the row
+space that vanishes on the prefix.  The scan walks depth first and marks
+each independent subset in a lexicographic bitmap, which the checks
+compare; the DP restricts the subcode to the columns still to come and
+counts the prefixes that share it together.
 
 The DP and the scan are limited by one work budget, counted in DP
 states visited or subsets scanned.  ``analyze`` ties them together: it
@@ -243,72 +246,68 @@ def brute_force_counts(
     return BruteForceResult(total - independent, independent, dep, ind, bitmap)
 
 
+def _reduce_in(basis: tuple[int, ...], w: int) -> Optional[tuple[int, ...]]:
+    """Add w to a fully reduced basis in descending order; None if w is in its span."""
+    for b in basis:
+        if w ^ b < w:  # w holds b's leading bit, which no other word holds
+            w ^= b
+    if not w:
+        return None
+    out = []
+    for b in basis:
+        if b < w:  # the words below w cannot hold its leading bit
+            break
+        out.append(b ^ w if b ^ w < b else b)
+    out.append(w)
+    return tuple(out) + basis[len(out) - 1:]
+
+
 def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
     """Number of linearly independent r-subsets of gen's columns, r = gen.rows.
 
     These are the bases of the column matroid of a full-row-rank gen
     (0 when gen is rank deficient, 1 when r = 0).  The columns are
-    walked in order, keeping a dict from the span of the columns taken
-    so far to the number of subsets that reach it.  A span is keyed by
-    its reduced echelon basis: ints in descending order, each alone in
-    holding its own leading bit, which makes the key unique per span.
-    Skipping a column is allowed only while enough columns remain to
-    reach dimension r, and taking one only when it lies outside the
-    span; a take that reaches dimension r is counted at once instead of
-    becoming a state.  The states are bounded by the distinct spans of
-    column subsets, usually far fewer than C(n, r).
+    walked in order, keeping a dict from a state to the number of
+    prefixes A that reach it.  The state is the scan's: the subcode
+    that vanishes on A, restricted to the columns not yet walked, fully
+    reduced with column j at bit n - 1 - j.  Only the first word can
+    hold the next column: taking it drops that word, skipping it clears
+    the bit and reduces the word back in, and a word that reduces to
+    zero ends the state, as no completion exists.  A state is fixed by
+    span(A) ∩ span(later columns), giving usually far fewer states than C(n, r).
 
     Raises:
         BudgetError: the states visited, summed over all columns, exceed
             budget.  One state visit is the scan's unit of one subset.
     """
-    r, n = gen.rows, gen.cols
-    if r == 0:
-        return 1
-    last = r - 1
-    states: dict[tuple[int, ...], int] = {(): 1}
-    full = 0
-    visits = 0
-    for j, v in enumerate(gen.column_ints()):
+    n = gen.cols
+    start: Optional[tuple[int, ...]] = ()
+    for row in gen.bits:
+        start = _reduce_in(start, int(format(row, f"0{n}b")[::-1], 2))
+        if start is None:
+            return 0
+    states = {start: 1}
+    full = visits = 0
+    for j in range(n):
+        full += states.pop((), 0)  # a basis already: every later column is skipped
         visits += len(states)
         if visits > budget:
             raise BudgetError(
                 f"subset DP needs at least {visits} state visits, over budget {budget}"
             )
-        skip_dim = r - (n - 1 - j)  # smallest dimension that may skip column j
+        bit = 1 << (n - 1 - j)
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
-        for basis, count in states.items():
-            dim = len(basis)
-            if dim >= skip_dim:
-                nxt[basis] = get(basis, 0) + count
-            w = v
-            for b in basis:  # clear each pivot bit w holds
-                if w ^ b < w:
-                    w ^= b
-            if not w:
-                continue
-            if dim == last:
-                full += count
-                continue
-            # clear w's leading bit from the basis vectors above it and
-            # insert w in descending place
-            top = 1 << (w.bit_length() - 1)
-            key = []
-            placed = False
-            for b in basis:
-                if b & top:
-                    b ^= w
-                elif not placed and b < w:
-                    key.append(w)
-                    placed = True
-                key.append(b)
-            if not placed:
-                key.append(w)
-            span = tuple(key)
-            nxt[span] = get(span, 0) + count
+        for key, count in states.items():
+            if key[0] & bit:
+                rest = key[1:]
+                nxt[rest] = get(rest, 0) + count
+                key = _reduce_in(rest, key[0] ^ bit)
+                if key is None:
+                    continue
+            nxt[key] = get(key, 0) + count
         states = nxt
-    return full
+    return full + states.get((), 0)
 
 
 @dataclass(frozen=True)
@@ -388,8 +387,8 @@ def analyze(
     down a dual generator.
 
     Modes:
-        auto: formula when the distance condition holds, subset DP
-            otherwise.
+        auto: formula when the distance condition holds, otherwise the
+            subset DP, which merges prefixes by the scan's state.
         formula: closed form only; ConditionError if the condition fails.
         oracle: subset scan only.
         both: run the formula, the subset DP and the scan and require

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import fixture_path
 from gf2count.cli import main
@@ -84,6 +85,15 @@ def test_bad_matrix_exit(capsys, tmp_path):
     p.write_text("10\n1\n")
     code, _, _ = run(capsys, "count", str(p))
     assert code == 3
+
+
+def test_parse_error_names_the_file(capsys, tmp_path):
+    p = tmp_path / "ragged.txt"
+    p.write_text("101\n10\n")
+    code, out, err = run(capsys, "verify", G74, str(p))
+    assert code == 3
+    assert out == ""
+    assert f"error: {p}: line 2:" in err
 
 
 def test_rank_deficient_exit(capsys, tmp_path):
@@ -346,9 +356,10 @@ def test_count_json_byte_stable(capsys):
 
 
 def test_module_entry_point():
+    # run from src/, so the package is found without an install or PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "gf2count", "count", G74, "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(__file__).parent.parent / "src",
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["I"] == 28

@@ -350,7 +350,24 @@ def full_rank_matrices(draw):
     return rows
 
 
-@given(full_rank_matrices())
+@st.composite
+def full_rank_with_repeats(draw):
+    """Full-row-rank k x n rows, k anywhere in 1..n, with zero and repeated columns.
+
+    k unit columns at distinct positions give the full rank; every other
+    column is drawn from a small pool that always holds the zero column.
+    """
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    pivots = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    pool = [0] + draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=3))
+    cols = [draw(st.sampled_from(pool)) for _ in range(n)]
+    for i, j in enumerate(pivots):
+        cols[j] = 1 << i
+    return [[(c >> i) & 1 for c in cols] for i in range(k)]
+
+
+@given(st.one_of(full_rank_matrices(), full_rank_with_repeats()))
 @settings(max_examples=150, deadline=None)
 def test_basis_count_matches_naive(rows):
     m = BitMatrix.from_lists(rows)
@@ -376,10 +393,11 @@ def test_basis_count_matches_scan_on_fixtures(name):
     assert comb(m.cols, m.rows) - basis_count(_enumerated_side(m)) == scan.singular_count
 
 
-def test_basis_count_keys_states_by_span():
-    # every column is a nonzero vector of F_2^4, so at most the 67
-    # subspaces of F_2^4 are live at each column; a state key that
-    # depended on the order the columns were taken in would exceed that
+def test_basis_count_states_are_subspaces():
+    # every column is a nonzero vector of F_2^4; a state is fixed by
+    # span(A) ∩ span(later columns), so at most the 67 subspaces of
+    # F_2^4 are live at each column, and a state that depended on the
+    # order the columns were taken in would exceed that
     cols = list(range(1, 16)) * 2
     gen = BitMatrix(4, 30, tuple(
         sum(((v >> i) & 1) << j for j, v in enumerate(cols)) for i in range(4)
@@ -426,29 +444,27 @@ def _banded(k: int, n: int, seed: int) -> BitMatrix:
 
 
 def test_analyze_walks_the_primal_side_in_input_order():
-    # the band keeps few spans live at each column in the input order
-    # (577 visits); the systematic form's column order needs 2,622
+    # the band keeps few states live at each column in the input order
+    # (56 visits); the systematic form's column order needs 197
     m = _banded(8, 20, seed=1)
-    rep = analyze(m, budget=1_500)
+    rep = analyze(m, budget=100)
     assert rep.side == "primal" and rep.method == "oracle"
     assert rep.full_rank_count == brute_force_counts(m).full_rank_count
 
 
-@st.composite
-def full_rank_with_repeats(draw):
-    """Full-row-rank k x n rows, k anywhere in 1..n, with zero and repeated columns.
+def test_basis_count_banded_within_a_small_budget():
+    # 98 state visits; keying the state by span(A) alone needs 4,975
+    m = _banded(10, 24, seed=1)
+    assert basis_count(m, budget=1_000) == brute_force_counts(m).full_rank_count
 
-    k unit columns at distinct positions give the full rank; every other
-    column is drawn from a small pool that always holds the zero column.
-    """
-    n = draw(st.integers(1, 9))
-    k = draw(st.integers(1, n))
-    pivots = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
-    pool = [0] + draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=3))
-    cols = [draw(st.sampled_from(pool)) for _ in range(n)]
-    for i, j in enumerate(pivots):
-        cols[j] = 1 << i
-    return [[(c >> i) & 1 for c in cols] for i in range(k)]
+
+@pytest.mark.parametrize("k, n", [(20, 60), (30, 90)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_basis_count_wide_banded_matches_reversed_order(k, n, seed):
+    # a few hundred state visits either way; C(n, k) rules out the scan
+    m = _banded(k, n, seed)
+    reversed_m = permute_columns(m, range(n - 1, -1, -1))
+    assert basis_count(m, budget=2_000) == basis_count(reversed_m, budget=2_000)
 
 
 def _lex_bitmap(family: set, n: int, size: int) -> int:
@@ -519,8 +535,9 @@ def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch
 
 
 def test_oracle_scan_matches_dp_at_9x22():
+    # 18,563 state visits; keying the state by span(A) alone needs 77,491
     m = _random_full_rank(9, 22, seed=4)
-    assert analyze(m, "oracle").full_rank_count == basis_count(m)
+    assert analyze(m, "oracle").full_rank_count == basis_count(m, budget=25_000)
 
 
 def test_both_mode_checks_the_dp(g74, monkeypatch):
