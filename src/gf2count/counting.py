@@ -14,16 +14,15 @@ Three independent routes to the same pair of numbers:
 
 Both exact routes walk column prefixes keeping the subcode of the row
 space that vanishes on the prefix.  The scan walks depth first and marks
-each independent subset in a lexicographic bitmap, which the checks
-compare; the DP restricts the subcode to the columns still to come and
-counts the prefixes that share it together.
+each independent subset in a lexicographic bitmap; the DP restricts the
+subcode to the later columns, counts the prefixes that share it together
+and finishes a subcode of at most two words in closed form.
 
 The DP and the scan are limited by one work budget, counted in DP
 states visited or subsets scanned.  ``analyze`` ties them together: it
 picks the cheaper side (code or dual) for the distribution, checks the
 distance condition, applies the formula when it is valid and falls back
-to the DP when it is not.  Only the dual side needs the systematic form;
-the primal side is counted on the input as given.
+to the DP, in the input's column order on either side, when it is not.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -51,7 +50,7 @@ from .errors import (
     DimensionError,
     RankError,
 )
-from .gf2 import BitMatrix, SystematicForm, rank, systematic_form
+from .gf2 import BitMatrix, SystematicForm, permute_columns, rank, systematic_form
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -262,6 +261,15 @@ def _reduce_in(basis: tuple[int, ...], w: int) -> Optional[tuple[int, ...]]:
     return tuple(out) + basis[len(out) - 1:]
 
 
+def _completions(key: tuple[int, ...]) -> int:
+    """Column sets that complete a state of at most two words (one to one on them)."""
+    if len(key) < 2:
+        return key[0].bit_count() if key else 1
+    a, b = key  # a pair of columns works when its (a, b) bits are distinct and nonzero
+    x, y, z = (a & ~b).bit_count(), (b & ~a).bit_count(), (a & b).bit_count()
+    return x * y + z * (x + y)
+
+
 def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
     """Number of linearly independent r-subsets of gen's columns, r = gen.rows.
 
@@ -273,8 +281,9 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
     reduced with column j at bit n - 1 - j.  Only the first word can
     hold the next column: taking it drops that word, skipping it clears
     the bit and reduces the word back in, and a word that reduces to
-    zero ends the state, as no completion exists.  A state is fixed by
-    span(A) ∩ span(later columns), giving usually far fewer states than C(n, r).
+    zero ends the state, as no completion exists.  A state of at most two
+    words is never kept but completed at once in closed form.  A state is
+    fixed by span(A) ∩ span(later columns), usually far fewer than C(n, r).
 
     Raises:
         BudgetError: the states visited, summed over all columns, exceed
@@ -286,10 +295,11 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
         start = _reduce_in(start, int(format(row, f"0{n}b")[::-1], 2))
         if start is None:
             return 0
+    if len(start) < 3:
+        return _completions(start)
     states = {start: 1}
     full = visits = 0
     for j in range(n):
-        full += states.pop((), 0)  # a basis already: every later column is skipped
         visits += len(states)
         if visits > budget:
             raise BudgetError(
@@ -301,13 +311,16 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
         for key, count in states.items():
             if key[0] & bit:
                 rest = key[1:]
-                nxt[rest] = get(rest, 0) + count
+                if len(rest) < 3:
+                    full += count * _completions(rest)
+                else:
+                    nxt[rest] = get(rest, 0) + count
                 key = _reduce_in(rest, key[0] ^ bit)
                 if key is None:
                     continue
             nxt[key] = get(key, 0) + count
         states = nxt
-    return full + states.get((), 0)
+    return full
 
 
 @dataclass(frozen=True)
@@ -381,14 +394,12 @@ def analyze(
     dual has smaller dimension: the code itself when k < n - k, else the
     dual.  Counting k-subsets of the matrix is equivalent to counting
     (n - k)-subsets on the dual side because a selection is invertible
-    exactly when its complement is invertible for the dual.  The primal
-    side enumerates and runs the DP on m itself, in the input's column
-    order; only the dual side reduces m to systematic form, to write
-    down a dual generator.
+    exactly when its complement is invertible for the dual.  Both sides
+    enumerate and run the DP in the input's column order; only the dual
+    side reduces m to systematic form, to write down a dual generator.
 
     Modes:
-        auto: formula when the distance condition holds, otherwise the
-            subset DP, which merges prefixes by the scan's state.
+        auto: formula when the distance condition holds, otherwise the subset DP.
         formula: closed form only; ConditionError if the condition fails.
         oracle: subset scan only.
         both: run the formula, the subset DP and the scan and require
@@ -416,7 +427,11 @@ def analyze(
     total = comb(n, k)
     side = "primal" if k < n - k else "dual"
     # weight_enumerator checks the rank on the primal side, systematic_form on the dual
-    gen = m if side == "primal" else dual_of(systematic_form(m))
+    gen = m
+    if side == "dual":
+        sf = systematic_form(m)
+        back = sorted(range(n), key=sf.col_perm.__getitem__)  # to the input's order
+        gen = permute_columns(dual_of(sf), back)
     we = weight_enumerator(gen)
     d_star = min_weight(we)
     holds = True if d_star is None else condition_check(d_star, k, n)

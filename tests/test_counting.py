@@ -368,6 +368,11 @@ def full_rank_with_repeats(draw):
 
 
 @given(st.one_of(full_rank_matrices(), full_rank_with_repeats()))
+@example([[1, 0, 1, 1]])  # k = 1 with a zero column: one word, popcount(w) ways
+# k = 2 with a zero, a repeated and all three nonzero column types: x*y + z*(x + y)
+@example([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0]])
+# k = 3, where taking the first column leaves a two-word state
+@example([[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
 @settings(max_examples=150, deadline=None)
 def test_basis_count_matches_naive(rows):
     m = BitMatrix.from_lists(rows)
@@ -406,8 +411,9 @@ def test_basis_count_states_are_subspaces():
 
 
 def test_basis_count_budget(g107):
+    # 8 state visits: the closed form finishes every state of two words
     with pytest.raises(BudgetError):
-        basis_count(_enumerated_side(g107), budget=10)
+        basis_count(_enumerated_side(g107), budget=5)
 
 
 def _random_full_rank(k: int, n: int, seed: int) -> BitMatrix:
@@ -420,11 +426,11 @@ def _random_full_rank(k: int, n: int, seed: int) -> BitMatrix:
 
 def test_analyze_auto_counts_past_the_scan_budget():
     # C(30, 5) = 142 506 subsets would refuse a scan at this budget, but
-    # the DP visits only a few thousand spans
+    # the DP visits only ~1,100 states
     m = _random_full_rank(5, 30, seed=3)
     with pytest.raises(BudgetError):
-        analyze(m, mode="oracle", budget=10_000)
-    rep = analyze(m, mode="auto", budget=10_000)
+        analyze(m, mode="oracle", budget=2_000)
+    rep = analyze(m, mode="auto", budget=2_000)
     assert not rep.condition_holds
     assert rep.method == "oracle"
     assert rep.full_rank_count == basis_count(m)
@@ -445,15 +451,26 @@ def _banded(k: int, n: int, seed: int) -> BitMatrix:
 
 def test_analyze_walks_the_primal_side_in_input_order():
     # the band keeps few states live at each column in the input order
-    # (56 visits); the systematic form's column order needs 197
+    # (45 visits); the systematic form's column order needs 112
     m = _banded(8, 20, seed=1)
     rep = analyze(m, budget=100)
     assert rep.side == "primal" and rep.method == "oracle"
     assert rep.full_rank_count == brute_force_counts(m).full_rank_count
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_analyze_walks_the_dual_side_in_input_order(seed):
+    # k >= n - k: the dual generator gets the input's column order back,
+    # where the band keeps under 100 states live; in the systematic
+    # form's order the same DP needs 12,000 to 26,000 visits
+    m = _banded(24, 38, seed)
+    rep = analyze(m, budget=1_000)
+    assert rep.side == "dual" and rep.method == "oracle"
+    assert rep.full_rank_count == basis_count(m, budget=1_000)
+
+
 def test_basis_count_banded_within_a_small_budget():
-    # 98 state visits; keying the state by span(A) alone needs 4,975
+    # 89 state visits; keying the state by span(A) alone needs 4,975
     m = _banded(10, 24, seed=1)
     assert basis_count(m, budget=1_000) == brute_force_counts(m).full_rank_count
 
@@ -535,7 +552,7 @@ def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch
 
 
 def test_oracle_scan_matches_dp_at_9x22():
-    # 18,563 state visits; keying the state by span(A) alone needs 77,491
+    # 14,685 state visits; keying the state by span(A) alone needs 77,491
     m = _random_full_rank(9, 22, seed=4)
     assert analyze(m, "oracle").full_rank_count == basis_count(m, budget=25_000)
 
