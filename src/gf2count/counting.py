@@ -22,7 +22,7 @@ The DP and the scan are limited by one work budget, counted in DP
 states visited or subsets scanned.  ``analyze`` ties them together: it
 picks the cheaper side (code or dual) for the distribution, checks the
 distance condition, applies the formula when it is valid and falls back
-to the DP, in the input's column order on either side, when it is not.
+to the DP, in a greedy low-connectivity column order, when it is not.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -270,12 +270,44 @@ def _completions(key: tuple[int, ...]) -> int:
     return x * y + z * (x + y)
 
 
+def _connectivity_order(gen: BitMatrix) -> list[int]:
+    """A column order that keeps the DP's cuts narrow, chosen greedily.
+
+    After a prefix A, the DP's states are subspaces of span(A) ∩ span(B),
+    B the columns to come, of dimension r(A) + r(B) - r: the matroid's
+    connectivity at that cut.  A narrowest order is NP-hard to find (Horn
+    & Kschischang 1996), so the prefix grows by the lowest column already
+    in span(A), which cannot widen the cut; else by the lowest coloop of
+    B, which lowers r(B); else by the lowest column of B.  Both tests are
+    matroid properties, so row operations do not change the order.
+    """
+    n = gen.cols
+    left = (1 << n) - 1
+    cols = list(gen.column_ints())  # B's columns reduced modulo span(A)
+    order = []
+    while left:
+        pick = next((j for j in range(n) if left >> j & 1 and not cols[j]), None)
+        if pick is None:
+            rref: tuple[int, ...] = ()  # the rows restricted to B, fully reduced
+            for row in gen.bits:
+                rref = _reduce_in(rref, row & left) or rref
+            coloops = [w for w in rref if not w & (w - 1)]  # units in B's row space
+            pick = (min(coloops) if coloops else left & -left).bit_length() - 1
+        order.append(pick)
+        left ^= 1 << pick
+        w = cols[pick]
+        low = w & -w  # add w to span(A) by clearing this bit from every column
+        cols = [c ^ w if c & low else c for c in cols]
+    return order
+
+
 def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
     """Number of linearly independent r-subsets of gen's columns, r = gen.rows.
 
     These are the bases of the column matroid of a full-row-rank gen
     (0 when gen is rank deficient, 1 when r = 0).  The columns are
-    walked in order, keeping a dict from a state to the number of
+    walked in ``_connectivity_order`` (in the given order when
+    min(r, n - r) <= 4), keeping a dict from a state to the number of
     prefixes A that reach it.  The state is the scan's: the subcode
     that vanishes on A, restricted to the columns not yet walked, fully
     reduced with column j at bit n - 1 - j.  Only the first word can
@@ -289,7 +321,12 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
         BudgetError: the states visited, summed over all columns, exceed
             budget.  One state visit is the scan's unit of one subset.
     """
-    n = gen.cols
+    r, n = gen.rows, gen.cols
+    # a cut's r(A) + r(B) - r never exceeds min(r, n - r); up to 4, every
+    # order keeps at most 67 subspaces live, and ordering costs more
+    if min(r, n - r) > 4:
+        order = _connectivity_order(gen)
+        gen = permute_columns(gen, sorted(range(n), key=order.__getitem__))
     start: Optional[tuple[int, ...]] = ()
     for row in gen.bits:
         start = _reduce_in(start, int(format(row, f"0{n}b")[::-1], 2))
@@ -394,9 +431,9 @@ def analyze(
     dual has smaller dimension: the code itself when k < n - k, else the
     dual.  Counting k-subsets of the matrix is equivalent to counting
     (n - k)-subsets on the dual side because a selection is invertible
-    exactly when its complement is invertible for the dual.  Both sides
-    enumerate and run the DP in the input's column order; only the dual
-    side reduces m to systematic form, to write down a dual generator.
+    exactly when its complement is invertible for the dual.  Only the
+    dual side reduces m to systematic form, to write down a dual
+    generator; the DP orders either side's columns itself.
 
     Modes:
         auto: formula when the distance condition holds, otherwise the subset DP.
@@ -427,11 +464,7 @@ def analyze(
     total = comb(n, k)
     side = "primal" if k < n - k else "dual"
     # weight_enumerator checks the rank on the primal side, systematic_form on the dual
-    gen = m
-    if side == "dual":
-        sf = systematic_form(m)
-        back = sorted(range(n), key=sf.col_perm.__getitem__)  # to the input's order
-        gen = permute_columns(dual_of(sf), back)
+    gen = m if side == "primal" else dual_of(systematic_form(m))
     we = weight_enumerator(gen)
     d_star = min_weight(we)
     holds = True if d_star is None else condition_check(d_star, k, n)

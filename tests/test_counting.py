@@ -484,6 +484,42 @@ def test_basis_count_wide_banded_matches_reversed_order(k, n, seed):
     assert basis_count(m, budget=2_000) == basis_count(reversed_m, budget=2_000)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_analyze_counts_shuffled_banded_in_connectivity_order(seed):
+    # shuffling the columns spreads the band, and the input order needs
+    # 116k-173k visits; the DP's own column order needs 853 to 20,492
+    m = _banded(24, 72, seed)
+    perm = list(range(72))
+    random.Random(seed).shuffle(perm)
+    shuffled = permute_columns(m, perm)
+    expected = basis_count(m, budget=100_000)
+    assert analyze(shuffled, budget=100_000).full_rank_count == expected
+
+
+@pytest.mark.parametrize("k, n", [(7, 18), (8, 19)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_basis_count_matches_scan_on_ordered_shapes(k, n, seed):
+    # min(k, n - k) >= 5, so the DP orders the columns before it walks them
+    m = _random_full_rank(k, n, seed)
+    assert basis_count(m) == brute_force_counts(m).full_rank_count
+
+
+@given(st.one_of(full_rank_matrices(), full_rank_with_repeats()), st.integers(0, 99))
+@example([[1, 0, 1, 1, 0]], 0)  # a zero column and a repeated column
+@example([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]], 1)  # zero and repeated columns
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)  # k = n: every column a coloop
+@settings(max_examples=150, deadline=None)
+def test_connectivity_order_is_a_row_invariant_permutation(rows, seed):
+    m = BitMatrix.from_lists(rows)
+    n = m.cols
+    order = counting._connectivity_order(m)
+    assert sorted(order) == list(range(n))
+    variant = counting._random_row_equivalent(m, random.Random(seed))
+    assert counting._connectivity_order(variant) == order
+    ordered = permute_columns(m, sorted(range(n), key=order.__getitem__))
+    assert basis_count(ordered) == len(naive_subset_split(rows)[1])
+
+
 def _lex_bitmap(family: set, n: int, size: int) -> int:
     """Bit i set iff family holds the i-th size-subset of range(n) in lex order."""
     subsets = combinations(range(n), size)
