@@ -2,7 +2,6 @@
 
 from .codes import (
     DEFAULT_MAX_ENUM_DIM,
-    CodePair,
     WeightEnumerator,
     dual_of,
     effective_distance,
@@ -36,7 +35,6 @@ from .errors import (
 from .gf2 import (
     BitMatrix,
     SystematicForm,
-    mat_mul_transpose,
     parse_matrix,
     permute_columns,
     rank,
@@ -52,9 +50,7 @@ __all__ = [
     "rank",
     "systematic_form",
     "permute_columns",
-    "mat_mul_transpose",
     "WeightEnumerator",
-    "CodePair",
     "weight_enumerator",
     "macwilliams",
     "min_weight",

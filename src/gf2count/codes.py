@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetError, ConsistencyError, DimensionError, RankError
-from .gf2 import BitMatrix, SystematicForm, check_index_set, mat_mul_transpose, rank
+from .gf2 import BitMatrix, SystematicForm, check_index_set, rank
 
 # Largest dimension enumerated by default.  Random dimension-28 codes took
 # 2.1 s at length 36 and 4.3 s at length 56 (2-vCPU Xeon, Python 3.11);
@@ -247,33 +247,6 @@ def dual_of(g: SystematicForm) -> BitMatrix:
     pcols = g.parity_block().column_ints()
     rows = tuple(pcols[j] | (1 << (k + j)) for j in range(n - k))
     return BitMatrix(n - k, n, rows)
-
-
-@dataclass(frozen=True)
-class CodePair:
-    """A systematic generator bundled with a generator of its dual.
-
-    Construction re-checks the pairing, so a CodePair in hand certifies
-    that ``h`` spans exactly the orthogonal complement of ``g``.
-    """
-
-    g: SystematicForm
-    h: BitMatrix
-
-    def __post_init__(self) -> None:
-        k, n = self.g.k, self.g.n
-        if self.h.cols != n:
-            raise DimensionError(
-                f"dual generator has {self.h.cols} columns, expected {n}"
-            )
-        if self.h.rows != n - k:
-            raise DimensionError(
-                f"dual generator has {self.h.rows} rows, expected {n - k}"
-            )
-        if not mat_mul_transpose(self.g.matrix, self.h).is_zero:
-            raise ConsistencyError("rows of h are not orthogonal to the code")
-        if rank(self.h) != n - k:
-            raise RankError("dual generator is rank deficient")
 
 
 def effective_distance(p: BitMatrix, t_set: Sequence[int]) -> int:

@@ -36,13 +36,7 @@ from itertools import combinations, compress
 from math import comb
 from typing import Optional, Sequence
 
-from .codes import (
-    CodePair,
-    WeightEnumerator,
-    dual_of,
-    min_weight,
-    weight_enumerator,
-)
+from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
 from .errors import (
     BudgetError,
     ConditionError,
@@ -536,18 +530,28 @@ def complement_duality_check(
 
     Args:
         g: systematic form of the matrix under test.
-        h: generator of the dual; derived from g when omitted.  A
-            supplied h is first validated as a genuine dual pair.
+        h: generator of the dual, in the column order of g.matrix;
+            derived from g when omitted.  A supplied h is judged here,
+            before any scan: it must be (n - k) x n, every row must be
+            orthogonal to every row of g, and it must have full rank.
 
     Raises:
-        ConsistencyError / RankError: h is not a valid dual generator.
+        DimensionError: h has the wrong number of columns or rows.
+        ConsistencyError: a row of h is not orthogonal to the code.
+        RankError: h is rank deficient.
         BudgetError: the two scans together exceed the budget.
     """
+    k, n = g.k, g.n
     if h is None:
         h = dual_of(g)
-    else:
-        CodePair(g, h)
-    k, n = g.k, g.n
+    elif h.cols != n:
+        raise DimensionError(f"dual generator has {h.cols} columns, expected {n}")
+    elif h.rows != n - k:
+        raise DimensionError(f"dual generator has {h.rows} rows, expected {n - k}")
+    elif any((a & b).bit_count() & 1 for a in g.matrix.bits for b in h.bits):
+        raise ConsistencyError("rows of h are not orthogonal to the code")
+    elif rank(h) != n - k:
+        raise RankError("dual generator is rank deficient")
     if comb(n, k) + comb(n, n - k) > budget:
         raise BudgetError(
             f"scanning both sides needs {comb(n, k) + comb(n, n - k)} subsets, "

@@ -61,10 +61,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
     def column_ints(self) -> tuple[int, ...]:
         """Transpose packing: element j has bit i set iff entry (i, j) is 1."""
         out = [0] * self.cols
@@ -240,18 +236,3 @@ def check_index_set(index_set: Sequence[int], n: int) -> None:
         if j >= n:
             raise IndexSetError(f"index {j} out of range for {n} columns")
         prev = j
-
-
-def mat_mul_transpose(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Product A * B^T over GF(2); entry (i, j) is the parity of <A_i, B_j>."""
-    if a.cols != b.cols:
-        raise DimensionError(
-            f"inner dimensions differ: {a.cols} columns vs {b.cols} columns"
-        )
-    out = []
-    for ra in a.bits:
-        acc = 0
-        for j, rb in enumerate(b.bits):
-            acc |= ((ra & rb).bit_count() & 1) << j
-        out.append(acc)
-    return BitMatrix(a.rows, b.rows, tuple(out))

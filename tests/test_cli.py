@@ -5,8 +5,7 @@ from pathlib import Path
 
 from conftest import fixture_path
 from gf2count.cli import main
-from gf2count.codes import CodePair
-from gf2count.errors import ConsistencyError
+from gf2count.errors import ConsistencyError, DimensionError
 
 G74 = fixture_path("g_7_4.txt")
 G74_SYS = fixture_path("g_7_4_systematic.txt")
@@ -37,6 +36,27 @@ def test_count_text(capsys):
     assert "singular selections D: 7" in out
     assert "full rank selections I: 28" in out
     assert "dependent sets" not in out
+
+
+def test_count_text_names_the_column_moves(capsys, tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("1100\n0011\n")
+    code, out, _ = run(capsys, "count", str(p))
+    assert code == 0
+    assert "systematic form moves columns to positions [1, 3, 2, 4]" in out
+    assert "full rank selections I: 4" in out
+
+
+def test_count_text_square_matrix(capsys, tmp_path):
+    # k = n: the dual is the zero code, so d* is undefined
+    p = tmp_path / "m.txt"
+    p.write_text("110\n011\n001\n")
+    code, out, _ = run(capsys, "count", str(p))
+    assert code == 0
+    assert "systematic form keeps the column order" in out
+    assert "minimum distance d*: undefined (no nonzero word)" in out
+    assert "condition 3*d* > 2*max(k, n-k): holds vacuously" in out
+    assert "full rank selections I: 1" in out
 
 
 def test_count_json(capsys):
@@ -181,6 +201,30 @@ def test_negative_counts_are_usage_errors(capsys):
         assert "cannot be negative" in err
 
 
+def test_non_positive_work_is_a_usage_error(capsys):
+    for argv, message in (
+        (("search", "--k", "2", "--n", "4", "--samples", "0"), "--samples must be positive"),
+        (("count", G74, "--budget", "0"), "--budget must be positive"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert message in err
+
+
+def test_error_without_an_exit_code_of_its_own_exits_1(capsys, monkeypatch):
+    import gf2count.cli as cli
+
+    def boom(*args, **kwargs):
+        raise DimensionError("forced shape error")
+
+    monkeypatch.setattr(cli, "analyze", boom)
+    code, out, err = run(capsys, "count", G74)
+    assert code == 1
+    assert out == ""
+    assert err == "error: forced shape error\n"
+
+
 def test_unknown_subcommand_exit(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
@@ -275,6 +319,19 @@ def test_search_witness_cap(capsys):
     assert "witness 1:" not in out
 
 
+def test_search_text_lists_the_witnesses(capsys):
+    code, out, _ = run(capsys, "search", "--k", "2", "--n", "4", "--samples", "5",
+                       "--witnesses", "2")
+    assert code == 0
+    assert out == (
+        "search: k=2, n=4, random (seed 0), 4 candidates\n"
+        "maximum full rank selections I: 5 of C(4, 2) = 6\n"
+        "achieved by 2 candidates\n"
+        "witness 1:\n  1010\n  0111\n"
+        "witness 2:\n  1001\n  0111\n"
+    )
+
+
 def test_search_sampled_is_deterministic(capsys):
     args = ("search", "--k", "3", "--n", "6", "--samples", "40",
             "--seed", "3", "--format", "json")
@@ -365,16 +422,3 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["I"] == 28
 
-
-def test_verify_judges_a_supplied_dual_once(capsys, monkeypatch):
-    judged = []
-    check = CodePair.__post_init__
-
-    def counted(pair):
-        judged.append(pair)
-        check(pair)
-
-    monkeypatch.setattr(CodePair, "__post_init__", counted)
-    code, out, _ = run(capsys, "verify", G74_SYS, H74, "--trials", "1")
-    assert code == 0 and "overall: pass" in out
-    assert len(judged) == 1

@@ -7,7 +7,6 @@ from gf2count import codes
 from gf2count import (
     BitMatrix,
     BudgetError,
-    CodePair,
     ConsistencyError,
     DimensionError,
     IndexSetError,
@@ -236,23 +235,6 @@ def test_macwilliams_involution(m):
     k, n = m.rows, m.cols
     we = weight_enumerator(m)
     assert macwilliams(macwilliams(we, k), n - k) == we
-
-
-def test_code_pair_accepts_valid(g74_sys, h74):
-    pair = CodePair(systematic_form(g74_sys), h74)
-    assert pair.h == h74
-
-
-def test_code_pair_rejects_flipped_bit(g74_sys, h74):
-    bad = BitMatrix(3, 7, (h74.bits[0] ^ 1, h74.bits[1], h74.bits[2]))
-    with pytest.raises((ConsistencyError, RankError)):
-        CodePair(systematic_form(g74_sys), bad)
-
-
-def test_code_pair_rejects_rank_deficient_dual(g74_sys, h74):
-    bad = BitMatrix(3, 7, (h74.bits[0], h74.bits[0], h74.bits[0] ^ h74.bits[0]))
-    with pytest.raises((ConsistencyError, RankError)):
-        CodePair(systematic_form(g74_sys), bad)
 
 
 def test_effective_distance_values(effdist36):

@@ -286,9 +286,18 @@ def test_complement_duality_trivial_square():
 
 def test_complement_duality_rejects_bad_dual(g74_sys, h74):
     sf = systematic_form(g74_sys)
-    bad = BitMatrix(3, 7, (h74.bits[0] ^ 1, h74.bits[1], h74.bits[2]))
-    with pytest.raises((ConsistencyError, RankError)):
-        complement_duality_check(sf, bad)
+    a, b, c = h74.bits
+    for bad, error, message in (
+        (BitMatrix(3, 6, (a >> 1, b >> 1, c >> 1)), DimensionError,
+         "dual generator has 6 columns, expected 7"),
+        (BitMatrix(4, 7, (a, b, c, a)), DimensionError,
+         "dual generator has 4 rows, expected 3"),
+        (BitMatrix(3, 7, (a ^ 1, b, c)), ConsistencyError,
+         "rows of h are not orthogonal to the code"),
+        (BitMatrix(3, 7, (a, a, 0)), RankError, "dual generator is rank deficient"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            complement_duality_check(sf, bad)
 
 
 def test_complement_duality_budget(g1511):
@@ -449,9 +458,9 @@ def _banded(k: int, n: int, seed: int) -> BitMatrix:
             return m
 
 
-def test_analyze_walks_the_primal_side_in_input_order():
-    # the band keeps few states live at each column in the input order
-    # (45 visits); the systematic form's column order needs 112
+def test_analyze_counts_a_banded_primal_within_a_small_budget():
+    # 19 state visits in the DP's connectivity order; walked unordered,
+    # the input order needs 45 and the systematic form's order 112
     m = _banded(8, 20, seed=1)
     rep = analyze(m, budget=100)
     assert rep.side == "primal" and rep.method == "oracle"
@@ -459,10 +468,10 @@ def test_analyze_walks_the_primal_side_in_input_order():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_analyze_walks_the_dual_side_in_input_order(seed):
-    # k >= n - k: the dual generator gets the input's column order back,
-    # where the band keeps under 100 states live; in the systematic
-    # form's order the same DP needs 12,000 to 26,000 visits
+def test_analyze_counts_a_banded_dual_within_a_small_budget(seed):
+    # k >= n - k: the dual generator comes in the systematic form's
+    # column order, and the DP's connectivity order needs 66 to 84 state
+    # visits; walked unordered, that order needs 12,000 to 26,000
     m = _banded(24, 38, seed)
     rep = analyze(m, budget=1_000)
     assert rep.side == "dual" and rep.method == "oracle"
@@ -591,6 +600,18 @@ def test_oracle_scan_matches_dp_at_9x22():
     # 14,685 state visits; keying the state by span(A) alone needs 77,491
     m = _random_full_rank(9, 22, seed=4)
     assert analyze(m, "oracle").full_rank_count == basis_count(m, budget=25_000)
+
+
+def test_both_mode_checks_the_formula_against_the_scan(g74, monkeypatch):
+    scan = counting.brute_force_counts
+
+    def one_more_dependent(m, **kwargs):
+        res = scan(m, **kwargs)
+        return replace(res, singular_count=res.singular_count + 1)
+
+    monkeypatch.setattr(counting, "brute_force_counts", one_more_dependent)
+    with pytest.raises(ConsistencyError, match="formula gives D=7 but the scan found D=8"):
+        analyze(g74, mode="both")
 
 
 def test_both_mode_checks_the_dp(g74, monkeypatch):

@@ -7,7 +7,6 @@ from gf2count import (
     FormatError,
     IndexSetError,
     RankError,
-    mat_mul_transpose,
     parse_matrix,
     permute_columns,
     rank,
@@ -119,22 +118,6 @@ def test_systematic_form_rejects_rank_deficient():
 def test_parity_block(g74_sys):
     p = systematic_form(g74_sys).parity_block()
     assert p == parse_matrix("111\n110\n101\n011")
-
-
-def test_mat_mul_transpose_orthogonality(g74_sys, h74):
-    assert mat_mul_transpose(g74_sys, h74).is_zero
-
-
-def test_mat_mul_transpose_values():
-    a = parse_matrix("110\n011")
-    b = parse_matrix("101\n111")
-    # entries are parities of row overlaps
-    assert mat_mul_transpose(a, b) == parse_matrix("10\n10")
-
-
-def test_mat_mul_transpose_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        mat_mul_transpose(parse_matrix("11"), parse_matrix("111"))
 
 
 def test_permute_columns_validation():

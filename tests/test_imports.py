@@ -6,7 +6,8 @@ modules with ``ast``.  The first reports imported names that are never
 referenced; ``__init__.py`` is skipped, since it imports names to
 re-export them.  The second requires each name in ``gf2count.__all__``
 to be read by another module of the package or imported by the
-acceptance tests.
+acceptance tests.  The third requires ``__init__.py`` to import exactly
+the names listed in ``__all__``, since each is written in both places.
 """
 
 import ast
@@ -74,3 +75,14 @@ def test_public_names_are_needed_outside_the_tests():
     for path in MODULES:
         needed |= loaded_names(path.read_text(encoding="utf-8"))
     assert sorted(set(gf2count.__all__) - needed) == []
+
+
+def test_package_imports_exactly_its_public_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(imported) == sorted(gf2count.__all__)
