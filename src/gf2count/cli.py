@@ -38,6 +38,7 @@ from .counting import (
     DEFAULT_BUDGET,
     CountReport,
     analyze,
+    basis_count,
     complement_duality_check,
     row_op_invariance_check,
 )
@@ -78,7 +79,7 @@ def _read_matrix(path: str) -> BitMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_matrix(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -218,13 +219,13 @@ def _candidate_matrix(p_bits: int, k: int, n: int) -> BitMatrix:
 
 
 def run_search(args: argparse.Namespace) -> dict:
-    """Score candidate systematic matrices and keep the best ones.
+    """Score candidate systematic matrices by the subset DP; keep the best.
 
     Every full-row-rank matrix is row-op plus column-permutation
     equivalent to some [I | P], and the counts are invariant under both,
     so scanning P blocks alone covers all attainable values of I.
-
-    Returns a JSON-ready summary dict.
+    ``--budget`` caps the ``--exhaustive`` candidate count and each
+    candidate's DP state visits.  Returns a JSON-ready summary dict.
     """
     k, n = args.k, args.n
     width = k * (n - k)
@@ -252,9 +253,8 @@ def run_search(args: argparse.Namespace) -> dict:
     scored = 0
     for p_bits in candidates:
         g = _candidate_matrix(p_bits, k, n)
-        rep = analyze(g, "auto", budget=args.budget)
+        value = basis_count(g, budget=args.budget)
         scored += 1
-        value = rep.full_rank_count
         if value > best:
             best = value
             achieved = 0

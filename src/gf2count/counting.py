@@ -531,9 +531,9 @@ def complement_duality_check(
     Args:
         g: systematic form of the matrix under test.
         h: generator of the dual, in the column order of g.matrix;
-            derived from g when omitted.  A supplied h is judged here,
-            before any scan: it must be (n - k) x n, every row must be
-            orthogonal to every row of g, and it must have full rank.
+            derived from g when omitted.  h, supplied or derived, is
+            judged here before any scan: it must be (n - k) x n, every
+            row must be orthogonal to every row of g, and full rank.
 
     Raises:
         DimensionError: h has the wrong number of columns or rows.
@@ -544,7 +544,7 @@ def complement_duality_check(
     k, n = g.k, g.n
     if h is None:
         h = dual_of(g)
-    elif h.cols != n:
+    if h.cols != n:
         raise DimensionError(f"dual generator has {h.cols} columns, expected {n}")
     elif h.rows != n - k:
         raise DimensionError(f"dual generator has {h.rows} rows, expected {n - k}")

@@ -1,10 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import fixture_path
-from gf2count.cli import main
+import pytest
+
+from conftest import fixture_path, load_fixture
+from gf2count import (
+    BitMatrix, brute_force_counts, counting, parse_matrix, rank, systematic_form,
+)
+from gf2count.cli import DEFAULT_WITNESS_CAP, main
 from gf2count.errors import ConsistencyError, DimensionError
 
 G74 = fixture_path("g_7_4.txt")
@@ -114,6 +120,17 @@ def test_parse_error_names_the_file(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert f"error: {p}: line 2:" in err
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
+def test_non_utf8_matrix_file_exits_3(capsys, tmp_path, command):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"10\xff1\n0110\n")
+    argv = (command, str(p)) if command == "count" else (command, G74, str(p))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert f"error: cannot read {p}: 'utf-8' codec can't decode" in err
 
 
 def test_rank_deficient_exit(capsys, tmp_path):
@@ -342,6 +359,66 @@ def test_search_sampled_is_deterministic(capsys):
     assert json.loads(out1)["seed"] == 3
 
 
+def _candidate_lines(p_bits: int, k: int, n: int) -> list[str]:
+    """Rows of [I | P], P read row-major from p_bits, built as text."""
+    width = n - k
+    return [
+        "".join("1" if c == i else "0" for c in range(k))
+        + "".join(str(p_bits >> (i * width + j) & 1) for j in range(width))
+        for i in range(k)
+    ]
+
+
+def _scan_search(k: int, n: int, candidates) -> dict:
+    """The search summary recomputed by scanning every candidate's subsets."""
+    scores = {
+        p: brute_force_counts(parse_matrix("\n".join(_candidate_lines(p, k, n))))
+        .full_rank_count
+        for p in candidates
+    }
+    best = max(scores.values())
+    winners = [p for p in candidates if scores[p] == best]
+    return {
+        "candidates_scored": len(candidates),
+        "max_full_rank": best,
+        "achieved_by": len(winners),
+        "witnesses": [_candidate_lines(p, k, n) for p in winners[:DEFAULT_WITNESS_CAP]],
+    }
+
+
+@pytest.mark.parametrize("k, n, mode", [(3, 6, "exhaustive"), (3, 8, "sampled")])
+def test_search_matches_a_scan_of_every_candidate(capsys, k, n, mode):
+    width = k * (n - k)
+    if mode == "exhaustive":
+        argv = ("--exhaustive",)
+        candidates = list(range(1 << width))
+    else:  # the draws of run_search, first occurrences in order
+        argv = ("--samples", "200", "--seed", "1")
+        rng = random.Random(1)
+        candidates = list(dict.fromkeys(rng.getrandbits(width) for _ in range(200)))
+    code, out, _ = run(capsys, "search", "--k", str(k), "--n", str(n), *argv,
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    expected = _scan_search(k, n, candidates)
+    assert {key: data[key] for key in expected} == expected
+
+
+def test_search_runs_no_count_pipeline(capsys, monkeypatch):
+    import gf2count.cli as cli
+
+    argv = ("search", "--k", "3", "--n", "8", "--samples", "40", "--format", "json")
+    expected = run(capsys, *argv)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("search called analyze")
+
+    monkeypatch.setattr(cli, "analyze", boom)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected[1]
+
+
 def test_search_bad_shape(capsys):
     code, _, _ = run(capsys, "search", "--k", "4", "--n", "4", "--exhaustive")
     assert code == 2
@@ -392,6 +469,25 @@ def test_verify_detects_bad_dual(capsys, tmp_path):
     assert code == 7
     assert "dual pairing: FAIL" in out
     assert "complement duality: FAIL" in out
+    assert "overall: FAIL" in out
+
+
+def test_verify_judges_the_derived_dual(capsys, monkeypatch):
+    derive = counting.dual_of
+
+    def flipped(g):
+        h = derive(g)
+        return BitMatrix(h.rows, h.cols, (h.bits[0] ^ 1,) + h.bits[1:])
+
+    sf = systematic_form(load_fixture("g_7_4.txt"))
+    assert counting.complement_duality_check(sf)
+    assert rank(flipped(sf)) == 3  # full rank: only orthogonality can catch it
+    monkeypatch.setattr(counting, "dual_of", flipped)
+    with pytest.raises(ConsistencyError, match="not orthogonal"):
+        counting.complement_duality_check(sf)
+    code, out, _ = run(capsys, "verify", G74, "--trials", "2")
+    assert code == 7
+    assert "dual pairing: FAIL" in out
     assert "overall: FAIL" in out
 
 
