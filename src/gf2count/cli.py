@@ -30,6 +30,7 @@ import json
 import random
 import sys
 from dataclasses import replace
+from functools import cache
 from math import comb
 from typing import Optional, Sequence
 
@@ -346,6 +347,7 @@ def _add_common(sub: argparse.ArgumentParser, *, budget: bool = True,
                          help="no effect; scans run in one process")
 
 
+@cache  # parse_args leaves the parser as it was, so main builds it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gf2count",

@@ -13,10 +13,12 @@ Three independent routes to the same pair of numbers:
   route that can list the subsets.
 
 Both exact routes walk column prefixes keeping the subcode of the row
-space that vanishes on the prefix.  The scan walks depth first and marks
-each independent subset in a lexicographic bitmap; the DP restricts the
-subcode to the later columns, counts the prefixes that share it together
-and finishes a subcode of at most two words in closed form.
+space that vanishes on the prefix.  The scan walks depth first, each
+call returning its run of a lexicographic bitmap of the independent
+subsets as an int, and closes a subcode of at most three words in one
+loop; the DP restricts the subcode to the later columns, counts the
+prefixes that share it together and finishes a subcode of at most two
+words in closed form.
 
 The DP and the scan are limited by one work budget, counted in DP
 states visited or subsets scanned.  ``analyze`` ties them together: it
@@ -129,31 +131,34 @@ def _independent_bitmap(rows: Sequence[int], n: int) -> int:
     every next column at once and no dependent prefix is visited.
     Taking x clears bit x from the other words with the first word that
     has it and drops that word.  When one word w is left, its set bits
-    above the last column are the independent completions.  With the
-    subsets of prefix A ranked from ``pos``, those whose next column is
-    x start at pos + C(n - start, rem) - C(n - x, rem) (hockey-stick
-    identity), so a two-word state writes its whole run of ranks at once.
+    above the last column are the independent completions.
 
-    The runs go into a bytearray of binary digits, one byte per subset
-    and the lowest rank last, which ``int(text, 2)`` turns into the
-    bitmap.  Each first column owns one contiguous run of ranks and is
-    walked into its own text, so only one of those is held at a time.
+    ``walk(basis, start)`` returns the completions of A by the
+    rem = len(basis) columns from ``start`` on as an int, bit t for the
+    t-th of their C(n - start, rem) subsets in lexicographic order.
+    Those whose next column is x start at bit C(n - start, rem) -
+    C(n - x, rem) (hockey-stick identity), so a parent ORs each child's
+    run in at that shift and the top call returns the whole bitmap.
+    The runs of one level partition the bitmap and a run takes at most
+    n children, so each level's ORs touch every bit at most n times.
+    A two-word state sets its whole run at once.  A three-word state
+    forms each two-word child inline: completion y of the child taken
+    at x starts at bit C(n - start, 3) - C(n - x - 1, 3) - C(n - y, 2)
+    (Pascal's rule), so no call is made per two-word state.
     """
     k = len(rows)
     binom = [[comb(a, r) for r in range(k + 1)] for a in range(n + 1)]
-    text = bytearray()  # text[-1 - r] is rank r of the current first column
 
-    def walk(basis: list[int], start: int, pos: int, last: int) -> None:
-        # take each next column x in [start, last]
+    def walk(basis: list[int], start: int) -> int:
         rem = len(basis)
         size = binom[n - start][rem]
         viable = 0
         for w in basis:
             viable |= w
-        viable &= (2 << last) - (1 << start)
-        if rem == 2:
+        viable &= (2 << (n - rem)) - (1 << start)  # columns that leave room for rem - 1
+        block = 0
+        if rem == 2:  # only at the top, k = 2; deeper pairs close in the loop below
             a, b = basis
-            block = 0
             while viable:
                 low = viable & -viable
                 viable ^= low
@@ -161,35 +166,44 @@ def _independent_bitmap(rows: Sequence[int], n: int) -> int:
                 # the word of span{a, b} that vanishes on x
                 w = a if not a & low else (a ^ b if b & low else b)
                 block |= (w >> (x + 1)) << (size - binom[n - x][2])
-            if block:
-                used = size - binom[n - last - 1][2]  # the ranks up to column last
-                end = len(text) - pos
-                text[end - used:end] = format(block, "0%db" % used).encode()
-            return
-        while viable:
-            low = viable & -viable
-            viable ^= low
-            x = low.bit_length() - 1
-            child = []
-            pivot = 0
-            for w in basis:
-                if not w & low:
-                    child.append(w)
-                elif pivot:
-                    child.append(w ^ pivot)
+        elif rem == 3:
+            a, b, c = basis
+            while viable:
+                low = viable & -viable
+                viable ^= low
+                x = low.bit_length() - 1
+                if a & low:  # the two-word child that vanishes on x
+                    p, q = (b ^ a if b & low else b), (c ^ a if c & low else c)
+                elif b & low:
+                    p, q = a, (c ^ b if c & low else c)
                 else:
-                    pivot = w
-            walk(child, x + 1, pos + size - binom[n - x][rem], n - rem + 1)
+                    p, q = a, b
+                base = size - binom[n - x - 1][3]
+                inner = (p | q) & ((1 << (n - 1)) - (low << 1))
+                while inner:
+                    bit = inner & -inner
+                    inner ^= bit
+                    y = bit.bit_length() - 1
+                    w = p if not p & bit else (p ^ q if q & bit else q)
+                    block |= (w >> (y + 1)) << (base - binom[n - y][2])
+        else:
+            while viable:
+                low = viable & -viable
+                viable ^= low
+                x = low.bit_length() - 1
+                child = []
+                pivot = 0
+                for w in basis:
+                    if not w & low:
+                        child.append(w)
+                    elif pivot:
+                        child.append(w ^ pivot)
+                    else:
+                        pivot = w
+                block |= walk(child, x + 1) << (size - binom[n - x][rem])
+        return block
 
-    bitmap = 0
-    base = 0  # rank of the first subset that starts at column `first`
-    for first in range(n - k + 1):
-        run = binom[n - first - 1][k - 1]
-        text = bytearray(b"0") * run
-        walk(list(rows), first, 0, first)
-        bitmap |= int(text, 2) << base
-        base += run
-    return bitmap
+    return walk(list(rows), 0)
 
 
 def brute_force_counts(

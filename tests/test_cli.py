@@ -8,7 +8,7 @@ import pytest
 
 from conftest import fixture_path, load_fixture
 from gf2count import (
-    BitMatrix, brute_force_counts, counting, parse_matrix, rank, systematic_form,
+    BitMatrix, brute_force_counts, cli, counting, parse_matrix, rank, systematic_form,
 )
 from gf2count.cli import DEFAULT_WITNESS_CAP, main
 from gf2count.errors import ConsistencyError, DimensionError
@@ -507,6 +507,30 @@ def test_count_json_byte_stable(capsys):
     code2, out2, _ = run(capsys, "count", G74, "--list-sets", "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
+    calls = [
+        ("count", G74, "--list-sets", "--format", "json"),
+        ("count", G74, "--mode", "nope"),  # usage error
+        ("count", G74, "--format", "json"),
+        ("weights", G74, "--dual"),
+        ("search", "--k", "2", "--n", "4"),  # usage error: no --exhaustive
+        ("sets", G74),
+        ("verify", G74, "--trials", "3"),
+        ("search", "--k", "2", "--n", "4", "--exhaustive", "--format", "json"),
+        ("count", G74, "--format", "json"),
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 2, 0, 0, 0, 0]
+    # an option given to one call is not remembered by the next
+    assert "dependent_sets" in json.loads(reused[0][1])
+    assert "dependent_sets" not in json.loads(reused[2][1])
+    assert reused[2] == reused[-1]
+    # the same calls with a parser built afresh for each
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in calls] == reused
 
 
 def test_module_entry_point():

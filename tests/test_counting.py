@@ -571,6 +571,50 @@ def test_dual_bitmap_is_generator_bitmap_reversed(rows):
     assert h_bitmap == int(format(g_bitmap, f"0{total}b")[::-1], 2)
 
 
+def _rows_of(cols: list[int], k: int) -> list[list[int]]:
+    """The k rows of the matrix whose column j holds bit i of cols[j] in row i."""
+    return [[(c >> i) & 1 for c in cols] for i in range(k)]
+
+
+@st.composite
+def deep_scan_matrices(draw):
+    """Full-row-rank k x n rows with k = 4..7 and n <= 12.
+
+    The scan then reaches its three-word level below at least one
+    recursive level.  k unit columns give the full rank; each other
+    column is drawn at random or from a small pool that holds the zero
+    column, so zero and repeated columns are common.
+    """
+    k = draw(st.integers(4, 7))
+    n = draw(st.integers(k, 12))
+    pivots = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    pool = [0] + draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4))
+    column = st.one_of(st.sampled_from(pool), st.integers(0, (1 << k) - 1))
+    cols = [draw(column) for _ in range(n)]
+    for i, j in enumerate(pivots):
+        cols[j] = 1 << i
+    return _rows_of(cols, k)
+
+
+@given(deep_scan_matrices())
+@example(_rows_of([1, 2, 3, 0, 1, 3], 2))  # k = 2: the top level is the two-word leaf
+@example(_rows_of([1, 2, 0, 4, 6, 6, 5], 3))  # k = 3: the top level is the three-word loop
+@example(_rows_of([1, 2, 4, 8, 16], 5))  # k = n
+# after column 0, a three-word state over a zero column (2) and a repeated one (4, 5)
+@example(_rows_of([1, 2, 0, 4, 6, 6, 8, 9], 4))
+@settings(max_examples=60, deadline=None)
+def test_scan_below_the_top_level_matches_naive_split(rows):
+    m = BitMatrix.from_lists(rows)
+    k, n = m.rows, m.cols
+    dep, ind = naive_subset_split(rows)
+    res = brute_force_counts(m, collect_sets=True)
+    assert list(res.dependent_sets) == dep
+    assert list(res.independent_sets) == ind
+    assert res.bitmap == _lex_bitmap(set(ind), n, k)
+    assert row_op_invariance_check(m, trials=3)
+    assert complement_duality_check(systematic_form(m))
+
+
 def test_row_op_invariance_detects_a_changed_family(g74, monkeypatch):
     # swapping columns 0 and 3 turns the dependent {0, 1, 2, 4} into
     # {1, 2, 3, 4}, which is independent; a check that compared only
