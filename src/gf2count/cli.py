@@ -39,9 +39,9 @@ from .counting import (
     DEFAULT_BUDGET,
     CountReport,
     analyze,
-    basis_count,
     complement_duality_check,
     row_op_invariance_check,
+    systematic_count,
 )
 from .errors import (
     BudgetError,
@@ -224,12 +224,15 @@ def run_search(args: argparse.Namespace) -> dict:
 
     Every full-row-rank matrix is row-op plus column-permutation
     equivalent to some [I | P], and the counts are invariant under both,
-    so scanning P blocks alone covers all attainable values of I.
-    ``--budget`` caps the ``--exhaustive`` candidate count and each
-    candidate's DP state visits.  Returns a JSON-ready summary dict.
+    so scanning P blocks alone covers all attainable values of I.  I
+    depends only on the multiset of P's columns, so each multiset is
+    scored once, with its columns in sorted order.  ``--budget`` caps the
+    ``--exhaustive`` candidate count and each multiset's DP state visits.
+    Returns a JSON-ready summary dict.
     """
     k, n = args.k, args.n
-    width = k * (n - k)
+    w = n - k
+    width = k * w
     if args.exhaustive:
         if 1 << width > args.budget:
             raise BudgetError(
@@ -248,14 +251,16 @@ def run_search(args: argparse.Namespace) -> dict:
                 ordered.append(p)
         candidates = ordered
 
+    scores: dict[str, int] = {}
     best = -1
     achieved = 0
     witnesses: list[BitMatrix] = []
-    scored = 0
     for p_bits in candidates:
-        g = _candidate_matrix(p_bits, k, n)
-        value = basis_count(g, budget=args.budget)
-        scored += 1
+        text = format(p_bits, f"0{width}b")[::-1]  # P row-major: (i, j) at i * w + j
+        key = "".join(sorted([text[j::w] for j in range(w)]))  # P's sorted columns
+        value = scores.get(key)
+        if value is None:
+            value = scores[key] = systematic_count(key, k, budget=args.budget)
         if value > best:
             best = value
             achieved = 0
@@ -263,14 +268,14 @@ def run_search(args: argparse.Namespace) -> dict:
         if value == best:
             achieved += 1
             if len(witnesses) < args.witnesses:
-                witnesses.append(g)
+                witnesses.append(_candidate_matrix(p_bits, k, n))
     return {
         "k": k,
         "n": n,
         "exhaustive": args.exhaustive,
         "samples": args.samples,
         "seed": None if args.exhaustive else args.seed,
-        "candidates_scored": scored,
+        "candidates_scored": len(candidates),
         "total_subsets": comb(n, k),
         "max_full_rank": best,
         "achieved_by": achieved,

@@ -340,6 +340,11 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
         start = _reduce_in(start, int(format(row, f"0{n}b")[::-1], 2))
         if start is None:
             return 0
+    return _walk(start, n, budget)
+
+
+def _walk(start: tuple[int, ...], n: int, budget: int) -> int:
+    """The DP of ``basis_count`` over n columns, from its start state."""
     if len(start) < 3:
         return _completions(start)
     states = {start: 1}
@@ -366,6 +371,23 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
             nxt[key] = get(key, 0) + count
         states = nxt
     return full
+
+
+def systematic_count(p_text: str, k: int, *, budget: int = DEFAULT_BUDGET) -> int:
+    """``basis_count`` of [I | P], P as 0/1 text column by column, row 0 first.
+
+    In the DP's layout, column j at bit n - 1 - j, the rows of [I | P]
+    are its start state as they stand: row i alone holds the identity's
+    bit n - 1 - i, so they are fully reduced.  When min(k, n - k) > 4,
+    ``basis_count`` orders the columns first.  Raises BudgetError as it does.
+    """
+    n = k + len(p_text) // k
+    p_rows = [p_text[i::k] for i in range(k)]  # P's rows, first column first
+    if min(k, n - k) > 4:
+        rows = tuple(1 << i | int(p[::-1], 2) << k for i, p in enumerate(p_rows))
+        return basis_count(BitMatrix(k, n, rows), budget=budget)
+    start = tuple(1 << (n - 1 - i) | int(p, 2) for i, p in enumerate(p_rows))
+    return _walk(start, n, budget)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ packed representation, so agreement with the library is meaningful.
 """
 
 from itertools import combinations, product
+from math import comb
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -70,3 +71,50 @@ def naive_dual_basis(rows: list[list[int]]) -> list[list[int]]:
         if naive_rank(basis + [w]) > len(basis):
             basis.append(w)
     return basis
+
+
+def naive_subspace_bases(k: int) -> list[list[list[int]]]:
+    """One basis of every subspace of F_2^k, in reduced row echelon form.
+
+    A subspace is fixed by its pivot columns and, in each basis row, the
+    entries right of the pivot that sit in no pivot column; every choice
+    of those entries gives a distinct subspace.
+    """
+    bases = []
+    for dim in range(k + 1):
+        for pivots in combinations(range(k), dim):
+            free = [(r, c) for r, p in enumerate(pivots)
+                    for c in range(p + 1, k) if c not in pivots]
+            for values in product((0, 1), repeat=len(free)):
+                basis = [[int(c == p) for c in range(k)] for p in pivots]
+                for (r, c), v in zip(free, values):
+                    basis[r][c] = v
+                bases.append(basis)
+    return bases
+
+
+def mobius_full_rank_count(rows: list[list[int]]) -> int:
+    """I by Moebius inversion over the subspaces U of the coefficient space.
+
+    A k-subset T is independent when no nonzero combination of the rows
+    vanishes on T.  The combinations that vanish on T form a subspace,
+    and the Moebius function of the subspace lattice is
+    (-1)^dim U * 2^C(dim U, 2), so
+
+        I = sum over U of (-1)^dim U * 2^C(dim U, 2) * C(n - |supp U|, k),
+
+    supp U the coordinates where some word of U is nonzero: the union of
+    the supports of a basis of U.  For full-rank rows the coefficient
+    space and the row space have the same subspaces.
+    """
+    k, n = len(rows), len(rows[0])
+    total = 0
+    for basis in naive_subspace_bases(k):
+        support = set()
+        for coeffs in basis:
+            word = [sum(c * row[j] for c, row in zip(coeffs, rows)) % 2
+                    for j in range(n)]
+            support.update(j for j in range(n) if word[j])
+        dim = len(basis)
+        total += (-1) ** dim * 2 ** comb(dim, 2) * comb(n - len(support), k)
+    return total

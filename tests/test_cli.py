@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -386,7 +387,9 @@ def _scan_search(k: int, n: int, candidates) -> dict:
     }
 
 
-@pytest.mark.parametrize("k, n, mode", [(3, 6, "exhaustive"), (3, 8, "sampled")])
+@pytest.mark.parametrize("k, n, mode", [
+    (3, 6, "exhaustive"), (3, 7, "exhaustive"), (3, 8, "sampled"), (5, 10, "sampled"),
+])
 def test_search_matches_a_scan_of_every_candidate(capsys, k, n, mode):
     width = k * (n - k)
     if mode == "exhaustive":
@@ -402,6 +405,26 @@ def test_search_matches_a_scan_of_every_candidate(capsys, k, n, mode):
     data = json.loads(out)
     expected = _scan_search(k, n, candidates)
     assert {key: data[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 5)])
+def test_search_walks_each_column_multiset_once(capsys, monkeypatch, k, n):
+    starts = []
+    walk = counting._walk
+
+    def spy(start, cols, budget):
+        starts.append(start)
+        return walk(start, cols, budget)
+
+    monkeypatch.setattr(counting, "_walk", spy)
+    code, out, _ = run(capsys, "search", "--k", str(k), "--n", str(n),
+                       "--exhaustive", "--format", "json")
+    assert code == 0
+    w = n - k
+    assert json.loads(out)["candidates_scored"] == 2 ** (k * w)
+    # multisets of w columns drawn from the 2^k column values
+    assert len(starts) == comb(2 ** k + w - 1, w)
+    assert len(set(starts)) == len(starts)
 
 
 def test_search_runs_no_count_pipeline(capsys, monkeypatch):

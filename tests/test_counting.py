@@ -32,7 +32,14 @@ from gf2count import (
     systematic_form,
     weight_enumerator,
 )
-from naive import naive_dual_basis, naive_rank, naive_subset_split
+from gf2count.cli import _candidate_matrix
+from naive import (
+    mobius_full_rank_count,
+    naive_dual_basis,
+    naive_rank,
+    naive_subset_split,
+    naive_subspace_bases,
+)
 
 D_SETS_74 = {
     (0, 1, 2, 4),
@@ -527,6 +534,62 @@ def test_connectivity_order_is_a_row_invariant_permutation(rows, seed):
     assert counting._connectivity_order(variant) == order
     ordered = permute_columns(m, sorted(range(n), key=order.__getitem__))
     assert basis_count(ordered) == len(naive_subset_split(rows)[1])
+
+
+def test_subspace_bases_count_every_subspace_once():
+    # the Gaussian binomials summed over the dimension, k = 0..5
+    assert [len(naive_subspace_bases(k)) for k in range(6)] == [1, 2, 5, 16, 67, 374]
+
+
+@st.composite
+def small_rows(draw):
+    """Any k x n rows with k <= 5, rank deficient ones included."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(n, 5)))
+    return [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(k)]
+
+
+@given(st.one_of(small_rows(), full_rank_with_repeats().filter(lambda r: len(r) <= 5)))
+@example([[1, 1, 0], [1, 1, 0]])  # rank deficient: every subset dependent
+@example([[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
+@settings(max_examples=150, deadline=None)
+def test_mobius_oracle_matches_naive_split(rows):
+    assert mobius_full_rank_count(rows) == len(naive_subset_split(rows)[1])
+
+
+def _p_bits(columns: list[int], k: int) -> int:
+    """The search candidate layout of P: entry (i, j) at bit i * (n - k) + j."""
+    w = len(columns)
+    return sum(
+        (c >> i & 1) << (i * w + j) for j, c in enumerate(columns) for i in range(k)
+    )
+
+
+@st.composite
+def p_blocks(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k + 1, 11))
+    return k, n, draw(st.integers(0, (1 << k * (n - k)) - 1))
+
+
+@given(p_blocks())
+@example((1, 4, 0b101))  # k = 1: one word, popcount ways
+@example((2, 6, _p_bits([0, 1, 2, 3], 2)))  # k = 2: the closed form from the start
+@example((3, 7, _p_bits([0, 5, 5, 3], 3)))  # a zero column and a repeated column
+@example((3, 8, _p_bits([6, 6, 6, 0, 0], 3)))  # repeated zero and nonzero columns
+@example((5, 10, 0x13EECF8))  # min(k, n - k) > 4: basis_count orders the columns
+@example((6, 12, 0xB4164D839))
+@settings(max_examples=120, deadline=None)
+def test_systematic_count_matches_basis_count_and_mobius(block):
+    k, n, p_bits = block
+    w = n - k
+    p = [[p_bits >> (i * w + j) & 1 for j in range(w)] for i in range(k)]
+    columns = ["".join(str(p[i][j]) for i in range(k)) for j in range(w)]
+    expected = basis_count(_candidate_matrix(p_bits, k, n))
+    assert counting.systematic_count("".join(columns), k) == expected
+    assert counting.systematic_count("".join(sorted(columns)), k) == expected
+    identity = [[int(c == i) for c in range(k)] for i in range(k)]
+    assert mobius_full_rank_count([identity[i] + p[i] for i in range(k)]) == expected
 
 
 def _lex_bitmap(family: set, n: int, size: int) -> int:
