@@ -227,7 +227,8 @@ def run_search(args: argparse.Namespace) -> dict:
     so scanning P blocks alone covers all attainable values of I.  I
     depends only on the multiset of P's columns, so each multiset is
     scored once, with its columns in sorted order.  ``--budget`` caps the
-    ``--exhaustive`` candidate count and each multiset's DP state visits.
+    ``--exhaustive`` candidate count and each multiset's visits to DP
+    states of four or more words, so it caps no DP at k <= 3.
     Returns a JSON-ready summary dict.
     """
     k, n = args.k, args.n

@@ -17,14 +17,15 @@ space that vanishes on the prefix.  The scan walks depth first, each
 call returning its run of a lexicographic bitmap of the independent
 subsets as an int, and closes a subcode of at most three words in one
 loop; the DP restricts the subcode to the later columns, counts the
-prefixes that share it together and finishes a subcode of at most two
+prefixes that share it together and finishes a subcode of at most three
 words in closed form.
 
-The DP and the scan are limited by one work budget, counted in DP
-states visited or subsets scanned.  ``analyze`` ties them together: it
-picks the cheaper side (code or dual) for the distribution, checks the
-distance condition, applies the formula when it is valid and falls back
-to the DP, in a greedy low-connectivity column order, when it is not.
+The DP and the scan are limited by one work budget, counted in visits
+to DP states of four or more words or in subsets scanned.  ``analyze``
+ties them together: it picks the cheaper side (code or dual) for the
+distribution, checks the distance condition, applies the formula when
+it is valid and falls back to the DP, in a greedy low-connectivity
+column order, when it is not.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -258,8 +259,11 @@ def _reduce_in(basis: tuple[int, ...], w: int) -> Optional[tuple[int, ...]]:
     for b in basis:
         if w ^ b < w:  # w holds b's leading bit, which no other word holds
             w ^= b
-    if not w:
-        return None
+    return _insert(basis, w) if w else None
+
+
+def _insert(basis: tuple[int, ...], w: int) -> tuple[int, ...]:
+    """Add a nonzero w that holds no leading bit of a fully reduced basis."""
     out = []
     for b in basis:
         if b < w:  # the words below w cannot hold its leading bit
@@ -270,12 +274,31 @@ def _reduce_in(basis: tuple[int, ...], w: int) -> Optional[tuple[int, ...]]:
 
 
 def _completions(key: tuple[int, ...]) -> int:
-    """Column sets that complete a state of at most two words (one to one on them)."""
-    if len(key) < 2:
-        return key[0].bit_count() if key else 1
-    a, b = key  # a pair of columns works when its (a, b) bits are distinct and nonzero
-    x, y, z = (a & ~b).bit_count(), (b & ~a).bit_count(), (a & b).bit_count()
-    return x * y + z * (x + y)
+    """Column sets that complete a state of at most three words (one to one on them).
+
+    A set completes it when its columns' bits under the words form a
+    basis.  With m_v the number of columns whose bits read the nonzero
+    pattern v (bit i from word i), that is e_len(m) over distinct patterns,
+    less for three words the m_u * m_v * m_(u ^ v) of the Fano plane's 7 lines.
+    """
+    words = len(key)
+    a, b, c = key if words == 3 else key + (0,) * (3 - words)
+    ab = a & b
+    abc = ab & c
+    m1, m2 = (a & ~(b | c)).bit_count(), (b & ~(a | c)).bit_count()
+    m3, m4 = (ab ^ abc).bit_count(), (c & ~(a | b)).bit_count()
+    m5, m6 = (a & c ^ abc).bit_count(), (b & c ^ abc).bit_count()
+    m7 = abc.bit_count()
+    e1 = e2 = e3 = 0
+    for m in (m1, m2, m3, m4, m5, m6, m7):
+        e3 += e2 * m
+        e2 += e1 * m
+        e1 += m
+    if words < 3:
+        return (1, e1, e2)[words]
+    # the lines 123, 145, 167, 246, 257, 347 and 356
+    return e3 - (m1 * (m2 * m3 + m4 * m5 + m6 * m7) + m2 * (m4 * m6 + m5 * m7)
+                 + m3 * (m4 * m7 + m5 * m6))
 
 
 def _connectivity_order(gen: BitMatrix) -> list[int]:
@@ -321,13 +344,14 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
     reduced with column j at bit n - 1 - j.  Only the first word can
     hold the next column: taking it drops that word, skipping it clears
     the bit and reduces the word back in, and a word that reduces to
-    zero ends the state, as no completion exists.  A state of at most two
-    words is never kept but completed at once in closed form.  A state is
-    fixed by span(A) ∩ span(later columns), usually far fewer than C(n, r).
+    zero ends the state, as no completion exists.  A state of at most
+    three words is never kept but completed at once in closed form
+    (``_completions``), so r <= 3 walks no column.  A state is fixed by
+    span(A) ∩ span(later columns), usually far fewer than C(n, r).
 
     Raises:
-        BudgetError: the states visited, summed over all columns, exceed
-            budget.  One state visit is the scan's unit of one subset.
+        BudgetError: visits to states of four or more words, summed over
+            all columns, exceed budget; a visit is the scan's unit of a subset.
     """
     r, n = gen.rows, gen.cols
     # a cut's r(A) + r(B) - r never exceeds min(r, n - r); up to 4, every
@@ -345,7 +369,7 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
 
 def _walk(start: tuple[int, ...], n: int, budget: int) -> int:
     """The DP of ``basis_count`` over n columns, from its start state."""
-    if len(start) < 3:
+    if len(start) < 4:
         return _completions(start)
     states = {start: 1}
     full = visits = 0
@@ -359,16 +383,19 @@ def _walk(start: tuple[int, ...], n: int, budget: int) -> int:
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
         for key, count in states.items():
-            if key[0] & bit:
+            head = key[0]
+            if head & bit:
                 rest = key[1:]
-                if len(rest) < 3:
+                if len(rest) < 4:
                     full += count * _completions(rest)
                 else:
                     nxt[rest] = get(rest, 0) + count
-                key = _reduce_in(rest, key[0] ^ bit)
-                if key is None:
+                if head == bit:  # the word vanishes on the later columns
                     continue
+                key = _insert(rest, head ^ bit)  # head holds no leading bit of rest
             nxt[key] = get(key, 0) + count
+        if not nxt:
+            break
         states = nxt
     return full
 
@@ -378,8 +405,9 @@ def systematic_count(p_text: str, k: int, *, budget: int = DEFAULT_BUDGET) -> in
 
     In the DP's layout, column j at bit n - 1 - j, the rows of [I | P]
     are its start state as they stand: row i alone holds the identity's
-    bit n - 1 - i, so they are fully reduced.  When min(k, n - k) > 4,
-    ``basis_count`` orders the columns first.  Raises BudgetError as it does.
+    bit n - 1 - i, so they are fully reduced; k <= 3 closes them at once.
+    When min(k, n - k) > 4, ``basis_count`` orders the columns first.
+    Raises BudgetError as it does, so never for k <= 3.
     """
     n = k + len(p_text) // k
     p_rows = [p_text[i::k] for i in range(k)]  # P's rows, first column first

@@ -57,10 +57,6 @@ class BitMatrix:
             packed.append(acc)
         return cls(len(entries), cols, tuple(packed))
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
     def column_ints(self) -> tuple[int, ...]:
         """Transpose packing: element j has bit i set iff entry (i, j) is 1."""
         out = [0] * self.cols

@@ -1,8 +1,9 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from gf2count import BitMatrix, parse_matrix
+from gf2count import BitMatrix, parse_matrix, rank
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -13,6 +14,19 @@ def load_fixture(name: str) -> BitMatrix:
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def identity(n: int) -> BitMatrix:
+    """The n x n identity matrix, parsed from text."""
+    return parse_matrix("\n".join("0" * i + "1" + "0" * (n - 1 - i) for i in range(n)))
+
+
+def random_full_rank(k: int, n: int, seed: int) -> BitMatrix:
+    rng = random.Random(seed)
+    while True:
+        m = BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
+        if rank(m) == k:
+            return m
 
 
 @pytest.fixture

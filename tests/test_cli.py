@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path, load_fixture
+from conftest import fixture_path, load_fixture, random_full_rank
 from gf2count import (
     BitMatrix, brute_force_counts, cli, counting, parse_matrix, rank, systematic_form,
 )
@@ -172,9 +172,11 @@ def test_budget_exit(capsys):
     assert "budget" in err
 
 
-def test_dp_budget_exit_names_the_budget(capsys):
-    # the DP needs 8 state visits on g_10_7's dual
-    code, _, err = run(capsys, "count", G107, "--budget", "5")
+def test_dp_budget_exit_names_the_budget(capsys, tmp_path):
+    # the DP needs 209 visits to states of four or more words here
+    p = tmp_path / "m.txt"
+    p.write_text(str(random_full_rank(5, 30, seed=3)) + "\n")
+    code, _, err = run(capsys, "count", str(p), "--budget", "5")
     assert code == 6
     assert "budget 5" in err
 

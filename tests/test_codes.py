@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import identity
 from gf2count import codes
 from gf2count import (
     BitMatrix,
@@ -74,7 +75,7 @@ def test_weight_enumerator_rejects_rank_deficient():
 
 def test_weight_enumerator_dimension_guard(monkeypatch):
     monkeypatch.setattr(codes, "DEFAULT_MAX_ENUM_DIM", 4)
-    wide = BitMatrix.identity(5)
+    wide = identity(5)
     assert not _is_sliced(wide)
     with pytest.raises(BudgetError):
         weight_enumerator(wide)
@@ -164,7 +165,7 @@ def test_sliced_enumerator_rejects_rank_deficient(k):
 @pytest.mark.parametrize("k, guard", [(11, 10), (17, 16), (29, 28)])
 def test_sliced_enumerator_dimension_guard(monkeypatch, k, guard):
     monkeypatch.setattr(codes, "DEFAULT_MAX_ENUM_DIM", guard)
-    m = BitMatrix.identity(k)
+    m = identity(k)
     assert _is_sliced(m)
     with pytest.raises(BudgetError):
         weight_enumerator(m)
@@ -180,7 +181,7 @@ def test_dual_of_known_pair(g74_sys, h74):
 
 
 def test_dual_of_square_matrix_is_empty():
-    sf = systematic_form(BitMatrix.identity(4))
+    sf = systematic_form(identity(4))
     d = dual_of(sf)
     assert d.rows == 0 and d.cols == 4
 

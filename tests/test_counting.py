@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import load_fixture
+from conftest import identity, load_fixture, random_full_rank
 from gf2count import counting
 from gf2count import (
     BitMatrix,
@@ -115,7 +115,7 @@ def test_brute_force_known_sets(g74):
 
 
 def test_brute_force_square_full_rank():
-    res = brute_force_counts(BitMatrix.identity(5), collect_sets=True)
+    res = brute_force_counts(identity(5), collect_sets=True)
     assert res.singular_count == 0
     assert res.full_rank_count == 1
     assert res.independent_sets == ((0, 1, 2, 3, 4),)
@@ -209,7 +209,7 @@ def test_analyze_mode_validation(g74):
 
 
 def test_analyze_square_matrix():
-    rep = analyze(BitMatrix.identity(3))
+    rep = analyze(identity(3))
     assert rep.d_star is None
     assert rep.condition_holds
     assert rep.side == "dual"
@@ -287,7 +287,7 @@ def test_complement_duality_known_pair(g74_sys, h74):
 
 
 def test_complement_duality_trivial_square():
-    sf = systematic_form(BitMatrix.identity(4))
+    sf = systematic_form(identity(4))
     assert complement_duality_check(sf)
 
 
@@ -399,6 +399,23 @@ def test_basis_count_matches_naive(rows):
     assert analyze(m).full_rank_count == independent
 
 
+@given(st.lists(st.integers(0, 7), min_size=3, max_size=14))
+@example(list(range(1, 8)))  # all 7 nonzero column types: the Fano plane's 28 bases
+@example([1, 2, 3])  # a dependent line {a, b, a ^ b}
+@example([0, 3, 5, 6, 0])  # a line of weight-two types, with zero columns
+@example([1, 1, 2, 4, 4, 0, 7, 7, 6])  # repeated and zero columns
+@example([v for v in range(1, 8) for _ in range(v)])  # m_v = v: the 7 lines differ
+@settings(max_examples=150, deadline=None)
+def test_three_word_closed_form_matches_naive(columns):
+    # three words close at once: e3 of the 7 pattern counts, less the
+    # 7 lines {u, v, u ^ v}; rank-deficient rows give 0
+    rows = [[c >> i & 1 for c in columns] for i in range(3)]
+    independent = len(naive_subset_split(rows)[1])
+    words = tuple(sum(bit << j for j, bit in enumerate(row)) for row in rows)
+    assert counting._completions(words) == independent
+    assert basis_count(BitMatrix.from_lists(rows)) == independent
+
+
 def test_basis_count_rank_deficient_is_zero():
     assert basis_count(parse_matrix("11\n11")) == 0
 
@@ -426,24 +443,17 @@ def test_basis_count_states_are_subspaces():
     assert basis_count(gen, budget=30 * 67) == brute_force_counts(gen).full_rank_count
 
 
-def test_basis_count_budget(g107):
-    # 8 state visits: the closed form finishes every state of two words
+def test_basis_count_budget():
+    # 209 visits to states of four or more words; states of three or
+    # fewer close at once, so a side of dimension 3 needs no visit
     with pytest.raises(BudgetError):
-        basis_count(_enumerated_side(g107), budget=5)
-
-
-def _random_full_rank(k: int, n: int, seed: int) -> BitMatrix:
-    rng = random.Random(seed)
-    while True:
-        m = BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k)))
-        if rank(m) == k:
-            return m
+        basis_count(random_full_rank(5, 30, seed=3), budget=5)
 
 
 def test_analyze_auto_counts_past_the_scan_budget():
     # C(30, 5) = 142 506 subsets would refuse a scan at this budget, but
-    # the DP visits only ~1,100 states
-    m = _random_full_rank(5, 30, seed=3)
+    # the DP visits only 209 states
+    m = random_full_rank(5, 30, seed=3)
     with pytest.raises(BudgetError):
         analyze(m, mode="oracle", budget=2_000)
     rep = analyze(m, mode="auto", budget=2_000)
@@ -466,8 +476,8 @@ def _banded(k: int, n: int, seed: int) -> BitMatrix:
 
 
 def test_analyze_counts_a_banded_primal_within_a_small_budget():
-    # 19 state visits in the DP's connectivity order; walked unordered,
-    # the input order needs 45 and the systematic form's order 112
+    # 14 state visits in the DP's connectivity order; walked unordered,
+    # the input order needs 38 and the systematic form's order 68
     m = _banded(8, 20, seed=1)
     rep = analyze(m, budget=100)
     assert rep.side == "primal" and rep.method == "oracle"
@@ -477,7 +487,7 @@ def test_analyze_counts_a_banded_primal_within_a_small_budget():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_analyze_counts_a_banded_dual_within_a_small_budget(seed):
     # k >= n - k: the dual generator comes in the systematic form's
-    # column order, and the DP's connectivity order needs 66 to 84 state
+    # column order, and the DP's connectivity order needs 63 to 81 state
     # visits; walked unordered, that order needs 12,000 to 26,000
     m = _banded(24, 38, seed)
     rep = analyze(m, budget=1_000)
@@ -486,7 +496,7 @@ def test_analyze_counts_a_banded_dual_within_a_small_budget(seed):
 
 
 def test_basis_count_banded_within_a_small_budget():
-    # 89 state visits; keying the state by span(A) alone needs 4,975
+    # 48 state visits
     m = _banded(10, 24, seed=1)
     assert basis_count(m, budget=1_000) == brute_force_counts(m).full_rank_count
 
@@ -503,7 +513,7 @@ def test_basis_count_wide_banded_matches_reversed_order(k, n, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_analyze_counts_shuffled_banded_in_connectivity_order(seed):
     # shuffling the columns spreads the band, and the input order needs
-    # 116k-173k visits; the DP's own column order needs 853 to 20,492
+    # over 400,000 visits; the DP's own column order needs 847 to 20,484
     m = _banded(24, 72, seed)
     perm = list(range(72))
     random.Random(seed).shuffle(perm)
@@ -516,7 +526,7 @@ def test_analyze_counts_shuffled_banded_in_connectivity_order(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_basis_count_matches_scan_on_ordered_shapes(k, n, seed):
     # min(k, n - k) >= 5, so the DP orders the columns before it walks them
-    m = _random_full_rank(k, n, seed)
+    m = random_full_rank(k, n, seed)
     assert basis_count(m) == brute_force_counts(m).full_rank_count
 
 
@@ -577,6 +587,7 @@ def p_blocks(draw):
 @example((2, 6, _p_bits([0, 1, 2, 3], 2)))  # k = 2: the closed form from the start
 @example((3, 7, _p_bits([0, 5, 5, 3], 3)))  # a zero column and a repeated column
 @example((3, 8, _p_bits([6, 6, 6, 0, 0], 3)))  # repeated zero and nonzero columns
+@example((3, 8, _p_bits([3, 5, 6, 7, 3], 3)))  # three words with a line {3, 5, 6}
 @example((5, 10, 0x13EECF8))  # min(k, n - k) > 4: basis_count orders the columns
 @example((6, 12, 0xB4164D839))
 @settings(max_examples=120, deadline=None)
@@ -588,8 +599,8 @@ def test_systematic_count_matches_basis_count_and_mobius(block):
     expected = basis_count(_candidate_matrix(p_bits, k, n))
     assert counting.systematic_count("".join(columns), k) == expected
     assert counting.systematic_count("".join(sorted(columns)), k) == expected
-    identity = [[int(c == i) for c in range(k)] for i in range(k)]
-    assert mobius_full_rank_count([identity[i] + p[i] for i in range(k)]) == expected
+    unit = [[int(c == i) for c in range(k)] for i in range(k)]
+    assert mobius_full_rank_count([unit[i] + p[i] for i in range(k)]) == expected
 
 
 def _lex_bitmap(family: set, n: int, size: int) -> int:
@@ -704,8 +715,8 @@ def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch
 
 
 def test_oracle_scan_matches_dp_at_9x22():
-    # 14,685 state visits; keying the state by span(A) alone needs 77,491
-    m = _random_full_rank(9, 22, seed=4)
+    # 4,982 visits to states of four or more words
+    m = random_full_rank(9, 22, seed=4)
     assert analyze(m, "oracle").full_rank_count == basis_count(m, budget=25_000)
 
 
