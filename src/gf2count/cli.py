@@ -40,6 +40,7 @@ from .counting import (
     CountReport,
     analyze,
     complement_duality_check,
+    _completions,
     row_op_invariance_check,
     systematic_count,
 )
@@ -209,14 +210,10 @@ def cmd_sets(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _candidate_matrix(p_bits: int, k: int, n: int) -> BitMatrix:
-    """Systematic [I | P] whose P block is read row-major from p_bits."""
-    width = n - k
-    pmask = (1 << width) - 1
-    rows = tuple(
-        (1 << i) | (((p_bits >> (i * width)) & pmask) << k) for i in range(k)
-    )
-    return BitMatrix(k, n, rows)
+def _candidate_rows(p_bits: int, k: int, w: int) -> tuple[int, ...]:
+    """Rows of [I | P], its k x w block P read row-major from p_bits."""
+    pmask = (1 << w) - 1
+    return tuple([1 << i | (p_bits >> i * w & pmask) << k for i in range(k)])
 
 
 def run_search(args: argparse.Namespace) -> dict:
@@ -224,11 +221,14 @@ def run_search(args: argparse.Namespace) -> dict:
 
     Every full-row-rank matrix is row-op plus column-permutation
     equivalent to some [I | P], and the counts are invariant under both,
-    so scanning P blocks alone covers all attainable values of I.  I
-    depends only on the multiset of P's columns, so each multiset is
-    scored once, with its columns in sorted order.  ``--budget`` caps the
-    ``--exhaustive`` candidate count and each multiset's visits to DP
-    states of four or more words, so it caps no DP at k <= 3.
+    so scanning P blocks alone covers all attainable values of I.  For
+    k <= 3 the rows of [I | P], built from p_bits, are scored at once by
+    the DP's closed form, which counts column types and needs no column
+    order.  For k >= 4, I depends only on the multiset of P's columns, so
+    each multiset is scored once, by the DP with its columns in sorted
+    order.  ``--budget`` caps the ``--exhaustive`` candidate count and each
+    multiset's visits to DP states of four or more words, so it caps no
+    DP at k <= 3.
     Returns a JSON-ready summary dict.
     """
     k, n = args.k, args.n
@@ -257,11 +257,14 @@ def run_search(args: argparse.Namespace) -> dict:
     achieved = 0
     witnesses: list[BitMatrix] = []
     for p_bits in candidates:
-        text = format(p_bits, f"0{width}b")[::-1]  # P row-major: (i, j) at i * w + j
-        key = "".join(sorted([text[j::w] for j in range(w)]))  # P's sorted columns
-        value = scores.get(key)
-        if value is None:
-            value = scores[key] = systematic_count(key, k, budget=args.budget)
+        if k <= 3:  # at most three words: the DP would close them at once
+            value = _completions(_candidate_rows(p_bits, k, w))
+        else:
+            text = format(p_bits, f"0{width}b")[::-1]  # P row-major: (i, j) at i * w + j
+            key = "".join(sorted([text[j::w] for j in range(w)]))  # P's sorted columns
+            value = scores.get(key)
+            if value is None:
+                value = scores[key] = systematic_count(key, k, budget=args.budget)
         if value > best:
             best = value
             achieved = 0
@@ -269,7 +272,7 @@ def run_search(args: argparse.Namespace) -> dict:
         if value == best:
             achieved += 1
             if len(witnesses) < args.witnesses:
-                witnesses.append(_candidate_matrix(p_bits, k, n))
+                witnesses.append(BitMatrix(k, n, _candidate_rows(p_bits, k, w)))
     return {
         "k": k,
         "n": n,

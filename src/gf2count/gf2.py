@@ -67,12 +67,6 @@ class BitMatrix:
                 r ^= low
         return tuple(out)
 
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, self.column_ints())
-
-    def row_list(self, i: int) -> list[int]:
-        return [(self.bits[i] >> j) & 1 for j in range(self.cols)]
-
     def to_lines(self) -> list[str]:
         return ["".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.bits]
 

@@ -8,6 +8,11 @@ from itertools import combinations, product
 from math import comb
 
 
+def row_lists(m) -> list[list[int]]:
+    """A matrix's rows as 0/1 lists, read from its text form."""
+    return [[int(c) for c in line] for line in m.to_lines()]
+
+
 def naive_rank(rows: list[list[int]]) -> int:
     """Textbook Gaussian elimination on nested lists."""
     work = [row[:] for row in rows]

@@ -389,10 +389,8 @@ def _scan_search(k: int, n: int, candidates) -> dict:
     }
 
 
-@pytest.mark.parametrize("k, n, mode", [
-    (3, 6, "exhaustive"), (3, 7, "exhaustive"), (3, 8, "sampled"), (5, 10, "sampled"),
-])
-def test_search_matches_a_scan_of_every_candidate(capsys, k, n, mode):
+def _check_search_by_scan(capsys, k: int, n: int, mode: str) -> None:
+    """Run search and compare its summary with a scan of the same candidates."""
     width = k * (n - k)
     if mode == "exhaustive":
         argv = ("--exhaustive",)
@@ -409,7 +407,15 @@ def test_search_matches_a_scan_of_every_candidate(capsys, k, n, mode):
     assert {key: data[key] for key in expected} == expected
 
 
-@pytest.mark.parametrize("k, n", [(2, 4), (3, 5)])
+@pytest.mark.parametrize("k, n, mode", [
+    (1, 5, "exhaustive"), (2, 6, "exhaustive"), (3, 6, "exhaustive"),
+    (3, 7, "exhaustive"), (3, 8, "sampled"), (3, 9, "sampled"), (5, 10, "sampled"),
+])
+def test_search_matches_a_scan_of_every_candidate(capsys, k, n, mode):
+    _check_search_by_scan(capsys, k, n, mode)
+
+
+@pytest.mark.parametrize("k, n", [(4, 6), (4, 7)])
 def test_search_walks_each_column_multiset_once(capsys, monkeypatch, k, n):
     starts = []
     walk = counting._walk
@@ -427,6 +433,29 @@ def test_search_walks_each_column_multiset_once(capsys, monkeypatch, k, n):
     # multisets of w columns drawn from the 2^k column values
     assert len(starts) == comb(2 ** k + w - 1, w)
     assert len(set(starts)) == len(starts)
+
+
+@pytest.mark.parametrize("k, n, mode", [
+    (2, 4, "exhaustive"), (3, 5, "exhaustive"), (3, 8, "sampled"),
+])
+def test_search_runs_no_dp_for_three_rows_or_fewer(capsys, monkeypatch, k, n, mode):
+    def boom(*args, **kwargs):
+        raise AssertionError("search ran the DP at k <= 3")
+
+    monkeypatch.setattr(counting, "_walk", boom)
+    monkeypatch.setattr(counting, "systematic_count", boom)
+    monkeypatch.setattr(cli, "systematic_count", boom)
+    _check_search_by_scan(capsys, k, n, mode)
+
+
+def test_search_exhaustive_3_by_8_table_row(capsys):
+    code, out, _ = run(capsys, "search", "--k", "3", "--n", "8",
+                       "--exhaustive", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["candidates_scored"] == 32768
+    assert data["max_full_rank"] == 40
+    assert data["achieved_by"] == 600
 
 
 def test_search_runs_no_count_pipeline(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from gf2count import (
     systematic_form,
     weight_enumerator,
 )
-from naive import naive_dual_basis, naive_weight_counts
+from naive import naive_dual_basis, naive_weight_counts, row_lists
 
 
 @st.composite
@@ -90,7 +90,7 @@ def test_weight_enumerator_zero_row_matrix():
 @given(full_rank_matrices())
 @settings(max_examples=60)
 def test_weight_enumerator_matches_naive(m):
-    counts = naive_weight_counts([m.row_list(i) for i in range(m.rows)])
+    counts = naive_weight_counts(row_lists(m))
     assert list(weight_enumerator(m).coeffs) == counts
 
 
@@ -103,7 +103,7 @@ def _is_sliced(m):
 def test_sliced_enumerator_matches_naive(m):
     # one block of 2^k messages
     assert _is_sliced(m) and m.rows <= codes._SLICE_BITS
-    counts = naive_weight_counts([m.row_list(i) for i in range(m.rows)])
+    counts = naive_weight_counts(row_lists(m))
     assert list(weight_enumerator(m).coeffs) == counts
 
 
@@ -116,7 +116,7 @@ def test_sliced_enumerator_long_codes_match_naive(k, n):
         if rank(m) == k:
             break
     assert _is_sliced(m)
-    counts = naive_weight_counts([m.row_list(i) for i in range(m.rows)])
+    counts = naive_weight_counts(row_lists(m))
     assert list(weight_enumerator(m).coeffs) == counts
 
 
@@ -125,7 +125,7 @@ def test_sliced_enumerator_long_codes_match_naive(k, n):
 def test_small_sliced_blocks_match_naive(m, block_bits):
     # force the sliced path with tiny blocks, so the Gray walk over the
     # high message bits runs across many blocks
-    counts = naive_weight_counts([m.row_list(i) for i in range(m.rows)])
+    counts = naive_weight_counts(row_lists(m))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes, "_SLICE_MIN_WORDS_PER_COORD", 0)
         mp.setattr(codes, "_SLICE_BITS", block_bits)
@@ -192,7 +192,7 @@ def test_dual_of_spans_the_orthogonal_complement(m):
     sf = systematic_form(m)
     h = dual_of(sf)
     # compare against a basis found by exhaustive filtering
-    naive = naive_dual_basis([sf.matrix.row_list(i) for i in range(sf.k)])
+    naive = naive_dual_basis(row_lists(sf.matrix))
     assert rank(h) == len(naive) == sf.n - sf.k
     stacked = BitMatrix(
         h.rows + len(naive),
@@ -225,7 +225,7 @@ def test_macwilliams_rejects_impossible_distribution():
 @given(full_rank_matrices(max_rows=5, max_cols=9))
 @settings(max_examples=40)
 def test_macwilliams_matches_naive_dual(m):
-    basis = naive_dual_basis([m.row_list(i) for i in range(m.rows)])
+    basis = naive_dual_basis(row_lists(m))
     expected = naive_weight_counts(basis) if basis else [1] + [0] * m.cols
     assert list(macwilliams(weight_enumerator(m), m.rows).coeffs) == expected
 

@@ -32,13 +32,14 @@ from gf2count import (
     systematic_form,
     weight_enumerator,
 )
-from gf2count.cli import _candidate_matrix
+from gf2count.cli import _candidate_rows
 from naive import (
     mobius_full_rank_count,
     naive_dual_basis,
     naive_rank,
     naive_subset_split,
     naive_subspace_bases,
+    row_lists,
 )
 
 D_SETS_74 = {
@@ -144,7 +145,7 @@ def test_brute_force_matches_naive(p_bits):
     rows = tuple((1 << i) | (((p_bits >> (3 * i)) & 0b111) << 4) for i in range(4))
     m = BitMatrix(4, 7, rows)
     res = brute_force_counts(m, collect_sets=True)
-    dep, ind = naive_subset_split([m.row_list(i) for i in range(4)])
+    dep, ind = naive_subset_split(row_lists(m))
     assert list(res.dependent_sets) == dep
     assert list(res.independent_sets) == ind
 
@@ -576,8 +577,8 @@ def _p_bits(columns: list[int], k: int) -> int:
 
 
 @st.composite
-def p_blocks(draw):
-    k = draw(st.integers(1, 5))
+def p_blocks(draw, max_k=5):
+    k = draw(st.integers(1, max_k))
     n = draw(st.integers(k + 1, 11))
     return k, n, draw(st.integers(0, (1 << k * (n - k)) - 1))
 
@@ -596,11 +597,29 @@ def test_systematic_count_matches_basis_count_and_mobius(block):
     w = n - k
     p = [[p_bits >> (i * w + j) & 1 for j in range(w)] for i in range(k)]
     columns = ["".join(str(p[i][j]) for i in range(k)) for j in range(w)]
-    expected = basis_count(_candidate_matrix(p_bits, k, n))
+    expected = basis_count(BitMatrix(k, n, _candidate_rows(p_bits, k, w)))
     assert counting.systematic_count("".join(columns), k) == expected
     assert counting.systematic_count("".join(sorted(columns)), k) == expected
     unit = [[int(c == i) for c in range(k)] for i in range(k)]
     assert mobius_full_rank_count([unit[i] + p[i] for i in range(k)]) == expected
+
+
+@given(p_blocks(max_k=3))
+@example((1, 2, 0))  # k = 1, all-zero P: only the identity column counts
+@example((1, 6, 0b10110))  # k = 1: the nonzero columns
+@example((2, 5, 0))  # all-zero P
+@example((3, 6, 0))
+@example((2, 6, _p_bits([3, 3, 1, 3], 2)))  # repeated columns
+@example((3, 8, _p_bits([6, 6, 6, 0, 0], 3)))  # repeated zero and nonzero columns
+@example((3, 9, _p_bits([3, 5, 6, 7, 7, 3], 3)))  # a Fano line {3, 5, 6}, repeats
+@settings(max_examples=120, deadline=None)
+def test_search_score_of_three_rows_or_fewer_matches_naive_split(block):
+    k, n, p_bits = block
+    w = n - k
+    rows = [[int(c == i) for c in range(k)]
+            + [p_bits >> (i * w + j) & 1 for j in range(w)] for i in range(k)]
+    score = counting._completions(_candidate_rows(p_bits, k, w))
+    assert score == len(naive_subset_split(rows)[1])
 
 
 def _lex_bitmap(family: set, n: int, size: int) -> int:
