@@ -18,14 +18,14 @@ call returning its run of a lexicographic bitmap of the independent
 subsets as an int, and closes a subcode of at most three words in one
 loop; the DP restricts the subcode to the later columns, counts the
 prefixes that share it together and finishes a subcode of at most three
-words in closed form.
+words in closed form.  Its one entry, ``_walk``, starts from
+``gf2.reduced_basis`` and alone chooses the DP's column order.
 
 The DP and the scan are limited by one work budget, counted in visits
 to DP states of four or more words or in subsets scanned.  ``analyze``
 ties them together: it picks the cheaper side (code or dual) for the
 distribution, checks the distance condition, applies the formula when
-it is valid and falls back to the DP, in a greedy low-connectivity
-column order, when it is not.
+it is valid and falls back to the DP when it is not.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -47,7 +47,8 @@ from .errors import (
     DimensionError,
     RankError,
 )
-from .gf2 import BitMatrix, SystematicForm, permute_columns, rank, systematic_form
+from .gf2 import (BitMatrix, SystematicForm, _insert, _reduce_in, permute_columns,
+                  rank, reduced_basis, systematic_form)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -254,25 +255,6 @@ def brute_force_counts(
     return BruteForceResult(total - independent, independent, dep, ind, bitmap)
 
 
-def _reduce_in(basis: tuple[int, ...], w: int) -> Optional[tuple[int, ...]]:
-    """Add w to a fully reduced basis in descending order; None if w is in its span."""
-    for b in basis:
-        if w ^ b < w:  # w holds b's leading bit, which no other word holds
-            w ^= b
-    return _insert(basis, w) if w else None
-
-
-def _insert(basis: tuple[int, ...], w: int) -> tuple[int, ...]:
-    """Add a nonzero w that holds no leading bit of a fully reduced basis."""
-    out = []
-    for b in basis:
-        if b < w:  # the words below w cannot hold its leading bit
-            break
-        out.append(b ^ w if b ^ w < b else b)
-    out.append(w)
-    return tuple(out) + basis[len(out) - 1:]
-
-
 def _completions(key: tuple[int, ...]) -> int:
     """Column sets that complete a state of at most three words (one to one on them).
 
@@ -301,31 +283,31 @@ def _completions(key: tuple[int, ...]) -> int:
                  + m3 * (m4 * m7 + m5 * m6))
 
 
-def _connectivity_order(gen: BitMatrix) -> list[int]:
+def _connectivity_order(rows: Sequence[int], n: int) -> list[int]:
     """A column order that keeps the DP's cuts narrow, chosen greedily.
 
-    After a prefix A, the DP's states are subspaces of span(A) ∩ span(B),
-    B the columns to come, of dimension r(A) + r(B) - r: the matroid's
+    ``rows`` span the row space, column j at bit n - 1 - j.  After a
+    prefix A, the DP's states are subspaces of span(A) ∩ span(B), B the
+    columns to come, of dimension r(A) + r(B) - r: the matroid's
     connectivity at that cut.  A narrowest order is NP-hard to find (Horn
     & Kschischang 1996), so the prefix grows by the lowest column already
     in span(A), which cannot widen the cut; else by the lowest coloop of
     B, which lowers r(B); else by the lowest column of B.  Both tests are
     matroid properties, so row operations do not change the order.
     """
-    n = gen.cols
-    left = (1 << n) - 1
-    cols = list(gen.column_ints())  # B's columns reduced modulo span(A)
+    left = (1 << n) - 1  # B, in the rows' layout
+    cols = list(BitMatrix(len(rows), n, tuple(rows)).column_ints())[::-1]  # mod span(A)
     order = []
     while left:
-        pick = next((j for j in range(n) if left >> j & 1 and not cols[j]), None)
+        pick = next((j for j in range(n) if left >> (n - 1 - j) & 1 and not cols[j]), None)
         if pick is None:
             rref: tuple[int, ...] = ()  # the rows restricted to B, fully reduced
-            for row in gen.bits:
+            for row in rows:
                 rref = _reduce_in(rref, row & left) or rref
             coloops = [w for w in rref if not w & (w - 1)]  # units in B's row space
-            pick = (min(coloops) if coloops else left & -left).bit_length() - 1
+            pick = n - (max(coloops) if coloops else left).bit_length()
         order.append(pick)
-        left ^= 1 << pick
+        left ^= 1 << (n - 1 - pick)
         w = cols[pick]
         low = w & -w  # add w to span(A) by clearing this bit from every column
         cols = [c ^ w if c & low else c for c in cols]
@@ -336,41 +318,45 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
     """Number of linearly independent r-subsets of gen's columns, r = gen.rows.
 
     These are the bases of the column matroid of a full-row-rank gen
-    (0 when gen is rank deficient, 1 when r = 0).  The columns are
-    walked in ``_connectivity_order`` (in the given order when
-    min(r, n - r) <= 4), keeping a dict from a state to the number of
-    prefixes A that reach it.  The state is the scan's: the subcode
-    that vanishes on A, restricted to the columns not yet walked, fully
-    reduced with column j at bit n - 1 - j.  Only the first word can
-    hold the next column: taking it drops that word, skipping it clears
-    the bit and reduces the word back in, and a word that reduces to
-    zero ends the state, as no completion exists.  A state of at most
-    three words is never kept but completed at once in closed form
-    (``_completions``), so r <= 3 walks no column.  A state is fixed by
-    span(A) ∩ span(later columns), usually far fewer than C(n, r).
+    (0 when gen is rank deficient, 1 when r = 0), counted by ``_walk``
+    from ``reduced_basis(gen)``; it raises BudgetError as ``_walk`` does.
+    """
+    start = reduced_basis(gen)
+    if len(start) < gen.rows:
+        return 0
+    return _walk(start, gen.cols, budget)
+
+
+def _walk(start: tuple[int, ...], n: int, budget: int) -> int:
+    """The subset DP: independent r-subsets of n columns, r = len(start).
+
+    ``start`` is the row space's reduced basis, column j at bit n - 1 - j
+    (``gf2.reduced_basis``).  Unless min(r, n - r) <= 4, the columns are
+    first put in ``_connectivity_order`` and the basis reduced again.
+    The walk keeps a dict from a state to the number of prefixes A that
+    reach it.  The state is the scan's: the subcode that vanishes on A,
+    restricted to the columns not yet walked, fully reduced.  Only the
+    first word can hold the next column: taking it drops that word,
+    skipping it clears the bit and reduces the word back in, and a word
+    that reduces to zero ends the state, as no completion exists.  A
+    state of at most three words is never kept but completed at once in
+    closed form (``_completions``), so r <= 3 walks no column.  A state
+    is fixed by span(A) ∩ span(later columns), usually far fewer than
+    C(n, r).
 
     Raises:
         BudgetError: visits to states of four or more words, summed over
             all columns, exceed budget; a visit is the scan's unit of a subset.
     """
-    r, n = gen.rows, gen.cols
+    r = len(start)
+    if r < 4:
+        return _completions(start)
     # a cut's r(A) + r(B) - r never exceeds min(r, n - r); up to 4, every
     # order keeps at most 67 subspaces live, and ordering costs more
     if min(r, n - r) > 4:
-        order = _connectivity_order(gen)
-        gen = permute_columns(gen, sorted(range(n), key=order.__getitem__))
-    start: Optional[tuple[int, ...]] = ()
-    for row in gen.bits:
-        start = _reduce_in(start, int(format(row, f"0{n}b")[::-1], 2))
-        if start is None:
-            return 0
-    return _walk(start, n, budget)
-
-
-def _walk(start: tuple[int, ...], n: int, budget: int) -> int:
-    """The DP of ``basis_count`` over n columns, from its start state."""
-    if len(start) < 4:
-        return _completions(start)
+        order = _connectivity_order(start, n)  # column order[t] is at bit n - 1 - order[t]
+        perm = sorted(range(n), key=order.__getitem__, reverse=True)  # that bit to column t
+        start = reduced_basis(permute_columns(BitMatrix(r, n, start), perm))
     states = {start: 1}
     full = visits = 0
     for j in range(n):
@@ -405,16 +391,11 @@ def systematic_count(p_text: str, k: int, *, budget: int = DEFAULT_BUDGET) -> in
 
     In the DP's layout, column j at bit n - 1 - j, the rows of [I | P]
     are its start state as they stand: row i alone holds the identity's
-    bit n - 1 - i, so they are fully reduced; k <= 3 closes them at once.
-    When min(k, n - k) > 4, ``basis_count`` orders the columns first.
-    Raises BudgetError as it does, so never for k <= 3.
+    bit n - 1 - i, so they are fully reduced and go to ``_walk`` at once.
+    Raises BudgetError as ``_walk`` does, so never for k <= 3.
     """
     n = k + len(p_text) // k
-    p_rows = [p_text[i::k] for i in range(k)]  # P's rows, first column first
-    if min(k, n - k) > 4:
-        rows = tuple(1 << i | int(p[::-1], 2) << k for i, p in enumerate(p_rows))
-        return basis_count(BitMatrix(k, n, rows), budget=budget)
-    start = tuple(1 << (n - 1 - i) | int(p, 2) for i, p in enumerate(p_rows))
+    start = tuple(1 << (n - 1 - i) | int(p_text[i::k], 2) for i in range(k))
     return _walk(start, n, budget)
 
 

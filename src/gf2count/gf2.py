@@ -4,12 +4,16 @@ A matrix row is stored as a single Python int: bit j (value ``1 << j``)
 holds the entry in column j.  Row XOR is then one integer XOR and rank
 computations stay fast for every width we care about without any
 per-entry loops.
+
+The one Gauss-Jordan elimination, ``reduced_basis``, puts column j at bit
+n - 1 - j so that a word's leading bit is its first column; both
+``systematic_form`` and the subset DP in ``counting`` start from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionError, FormatError, IndexSetError, RankError
 
@@ -153,49 +157,61 @@ class SystematicForm:
         return BitMatrix(k, self.n - k, shifted)
 
 
+def _reduce_in(basis: tuple[int, ...], w: int) -> Optional[tuple[int, ...]]:
+    """Add w to a fully reduced basis in descending order; None if w is in its span."""
+    for b in basis:
+        if w ^ b < w:  # w holds b's leading bit, which no other word holds
+            w ^= b
+    return _insert(basis, w) if w else None
+
+
+def _insert(basis: tuple[int, ...], w: int) -> tuple[int, ...]:
+    """Add a nonzero w that holds no leading bit of a fully reduced basis."""
+    out = []
+    for b in basis:
+        if b < w:  # the words below w cannot hold its leading bit
+            break
+        out.append(b ^ w if b ^ w < b else b)
+    out.append(w)
+    return tuple(out) + basis[len(out) - 1:]
+
+
+def reduced_basis(m: BitMatrix) -> tuple[int, ...]:
+    """m's rows in reduced row echelon form, column j at bit n - 1 - j.
+
+    The words descend, so the first pivot comes first, and each leading
+    bit (pivot) is held by no other word.  The form is unique, whatever
+    the row order, and has rank(m) words.
+    """
+    n = m.cols
+    basis: tuple[int, ...] = ()
+    for row in m.bits:
+        basis = _reduce_in(basis, int(format(row, f"0{n}b")[::-1], 2)) or basis
+    return basis
+
+
 def systematic_form(m: BitMatrix) -> SystematicForm:
     """Reduce to [I | P], permuting columns only when forced.
 
-    Gauss-Jordan elimination sweeps columns left to right; each pivot is
-    the lowest-index unused row with a 1 in the current column, and the
-    pivot row is XORed into every other row holding a 1 there.  The
-    reduced row echelon form this produces is unique, so the output does
-    not depend on the original row order.  If the pivot columns are not
-    0..k-1 they are moved to the front, pivots first in sweep order, and
-    the permutation is recorded.
+    The rows are ``reduced_basis(m)``, the reduced row echelon form, so
+    the output does not depend on the original row order.  Its pivot
+    columns are the lexicographically first independent ones; if they
+    are not 0..k-1 they are moved to the front, pivots first in order,
+    and the permutation is recorded.
 
     Raises:
         RankError: if the matrix does not have full row rank.
     """
     k, n = m.rows, m.cols
-    work = list(m.bits)
-    pivot_cols: list[int] = []
-    r = 0
-    for j in range(n):
-        if r == k:
-            break
-        mask = 1 << j
-        src = next((i for i in range(r, k) if work[i] & mask), None)
-        if src is None:
-            continue
-        work[r], work[src] = work[src], work[r]
-        for i in range(k):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        pivot_cols.append(j)
-        r += 1
-    if r < k:
-        raise RankError(f"matrix has rank {r}, full row rank {k} required")
-
-    if pivot_cols == list(range(k)):
-        return SystematicForm(BitMatrix(k, n, tuple(work)), tuple(range(n)))
-
-    order = pivot_cols + [j for j in range(n) if j not in set(pivot_cols)]
+    basis = reduced_basis(m)
+    if len(basis) < k:
+        raise RankError(f"matrix has rank {len(basis)}, full row rank {k} required")
+    pivots = [n - w.bit_length() for w in basis]
     perm = [0] * n
-    for new, old in enumerate(order):
+    for new, old in enumerate(pivots + sorted(set(range(n)).difference(pivots))):
         perm[old] = new
-    reduced = BitMatrix(k, n, tuple(work))
-    return SystematicForm(permute_columns(reduced, perm), tuple(perm))
+    # column j sits at bit n - 1 - j of the basis, so bit b moves to perm[n - 1 - b]
+    return SystematicForm(permute_columns(BitMatrix(k, n, basis), perm[::-1]), tuple(perm))
 
 
 def permute_columns(m: BitMatrix, perm: Sequence[int]) -> BitMatrix:

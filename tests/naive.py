@@ -13,27 +13,44 @@ def row_lists(m) -> list[list[int]]:
     return [[int(c) for c in line] for line in m.to_lines()]
 
 
-def naive_rank(rows: list[list[int]]) -> int:
-    """Textbook Gaussian elimination on nested lists."""
+def naive_gauss_jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Textbook Gauss-Jordan elimination on nested lists, sweeping columns left to right.
+
+    Returns the reduced row echelon form's nonzero rows and their pivot
+    columns.  Each pivot is the first row from the current one down with
+    a 1 in the column, swapped up and added to every other row with a 1
+    there.
+    """
     work = [row[:] for row in rows]
-    if not work:
-        return 0
-    n = len(work[0])
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         for i in range(len(work)):
             if i != r and work[i][col]:
                 work[i] = [(a + b) % 2 for a, b in zip(work[i], work[r])]
-        r += 1
-    return r
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def naive_rank(rows: list[list[int]]) -> int:
+    """The number of pivots of ``naive_gauss_jordan``."""
+    return len(naive_gauss_jordan(rows)[1])
+
+
+def naive_systematic_form(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """[I | P] with the pivot columns moved to the front, in order, and the move.
+
+    Element j of the returned permutation is the position that column j
+    moves to.  Meaningful for full-row-rank rows only.
+    """
+    reduced, pivots = naive_gauss_jordan(rows)
+    order = pivots + [j for j in range(len(rows[0])) if j not in pivots]
+    moved = [[row[j] for j in order] for row in reduced]
+    return moved, [order.index(j) for j in range(len(order))]
 
 
 def naive_weight_counts(rows: list[list[int]]) -> list[int]:

@@ -531,6 +531,56 @@ def test_basis_count_matches_scan_on_ordered_shapes(k, n, seed):
     assert basis_count(m) == brute_force_counts(m).full_rank_count
 
 
+def _sorted_p_text(k: int, n: int, p_bits: int) -> str:
+    """P's columns as 0/1 text, row 0 first, sorted and joined: ``search``'s multiset key."""
+    w = n - k
+    return "".join(sorted(
+        "".join(str(p_bits >> (i * w + j) & 1) for i in range(k)) for j in range(w)
+    ))
+
+
+_PINNED_DP = {
+    # min(r, n - r) <= 4: the columns in the given order
+    "random 4x30": lambda b: basis_count(random_full_rank(4, 30, seed=3), budget=b),
+    "random 8x12": lambda b: basis_count(random_full_rank(8, 12, seed=0), budget=b),
+    # min(r, n - r) > 4: the DP's connectivity order
+    "random 5x30": lambda b: basis_count(random_full_rank(5, 30, seed=3), budget=b),
+    "random 8x19": lambda b: basis_count(random_full_rank(8, 19, seed=1), budget=b),
+    "random 9x22": lambda b: basis_count(random_full_rank(9, 22, seed=4), budget=b),
+    "random 10x24": lambda b: basis_count(random_full_rank(10, 24, seed=0), budget=b),
+    "banded 30x90": lambda b: basis_count(_banded(30, 90, 0), budget=b),
+    "banded 12x36": lambda b: basis_count(_banded(12, 36, 1), budget=b),
+    "systematic 5x10": lambda b: counting.systematic_count(
+        _sorted_p_text(5, 10, 0x13EECF8), 5, budget=b),
+    "systematic 6x12": lambda b: counting.systematic_count(
+        _sorted_p_text(6, 12, 0xB4164D839), 6, budget=b),
+}
+
+
+@pytest.mark.parametrize("case, visits, independent", [
+    ("random 4x30", 23, 9_161),
+    ("random 8x12", 81, 161),
+    ("random 5x30", 209, 50_567),
+    ("random 8x19", 282, 15_510),
+    ("random 9x22", 4_982, 179_389),
+    ("random 10x24", 9_685, 587_488),
+    ("banded 30x90", 309, 8_316_738_440_768_340),
+    ("banded 12x36", 90, 332_738),
+    ("systematic 5x10", 13, 144),
+    ("systematic 6x12", 18, 168),
+])
+def test_dp_visits_are_pinned(case, visits, independent):
+    # the least budget each DP fits in: its column order, its start state
+    # and the unit of a visit all show in it
+    count = _PINNED_DP[case]
+    with pytest.raises(BudgetError) as exc:
+        count(visits - 1)
+    assert str(exc.value) == (
+        f"subset DP needs at least {visits} state visits, over budget {visits - 1}"
+    )
+    assert count(visits) == independent
+
+
 @given(st.one_of(full_rank_matrices(), full_rank_with_repeats()), st.integers(0, 99))
 @example([[1, 0, 1, 1, 0]], 0)  # a zero column and a repeated column
 @example([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]], 1)  # zero and repeated columns
@@ -539,10 +589,14 @@ def test_basis_count_matches_scan_on_ordered_shapes(k, n, seed):
 def test_connectivity_order_is_a_row_invariant_permutation(rows, seed):
     m = BitMatrix.from_lists(rows)
     n = m.cols
-    order = counting._connectivity_order(m)
+
+    def order_of(x):  # the rows as they stand, in the DP's layout
+        return counting._connectivity_order(permute_columns(x, range(n - 1, -1, -1)).bits, n)
+
+    order = order_of(m)
     assert sorted(order) == list(range(n))
     variant = counting._random_row_equivalent(m, random.Random(seed))
-    assert counting._connectivity_order(variant) == order
+    assert order_of(variant) == order
     ordered = permute_columns(m, sorted(range(n), key=order.__getitem__))
     assert basis_count(ordered) == len(naive_subset_split(rows)[1])
 

@@ -1,0 +1,69 @@
+"""Textbook codes with closed-form counts, through ``analyze`` and ``count``.
+
+A set of k columns of the simplex code S_m is independent when it is a
+basis of F_2^m, and the bases number |GL(m, 2)| / m! as sets.  Its dual
+is the Hamming code, with the same I by complement duality.  A basis of
+RM(1, m) is a set of m + 1 affinely independent points of F_2^m, which
+number 2^m |GL(m, 2)| / (m + 1)!.  For the extended Golay code the
+tests pin I = 1,391,040 and its known weight distribution.  The Hamming
+codes, RM(1, 3) and Golay have k >= n - k, so they take the dual branch
+through ``systematic_form`` and ``dual_of``; the Hamming codes of m = 5
+and 6 and Golay then run the DP on the dual.
+"""
+
+import json
+from math import factorial
+
+import pytest
+
+from families import extended_golay, gl_order, hamming, reed_muller_1, simplex
+from gf2count import BitMatrix, analyze
+from gf2count.cli import main
+
+SIMPLEX_I = dict(zip(range(3, 7), (28, 840, 83_328, 27_998_208)))
+RM1_I = dict(zip(range(3, 7), (56, 2_688, 444_416, 255_983_616)))
+CASES = (
+    [pytest.param(simplex(m), "primal", 2 ** (m - 1), i, id=f"simplex-{m}")
+     for m, i in SIMPLEX_I.items()]
+    + [pytest.param(hamming(m), "dual", 2 ** (m - 1), i, id=f"hamming-{m}")
+       for m, i in SIMPLEX_I.items()]
+    + [pytest.param(reed_muller_1(m), "dual" if m == 3 else "primal", 2 ** (m - 1), i,
+                    id=f"rm1-{m}") for m, i in RM1_I.items()]
+    + [pytest.param(extended_golay(), "dual", 8, 1_391_040, id="golay")]
+)
+
+GOLAY_WEIGHTS = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_closed_forms(m):
+    assert gl_order(m) // factorial(m) == SIMPLEX_I[m]
+    assert 2 ** m * gl_order(m) // factorial(m + 1) == RM1_I[m]
+
+
+@pytest.mark.parametrize("rows, side, d_star, independent", CASES)
+def test_family_through_analyze(rows, side, d_star, independent):
+    rep = analyze(BitMatrix.from_lists(rows))
+    assert (rep.side, rep.d_star, rep.full_rank_count) == (side, d_star, independent)
+
+
+@pytest.mark.parametrize("rows, side, d_star, independent", CASES)
+def test_family_through_count_json(capsys, tmp_path, rows, side, d_star, independent):
+    path = tmp_path / "m.txt"
+    path.write_text(str(BitMatrix.from_lists(rows)) + "\n")
+    assert main(["count", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["side"], data["d_star"], data["I"]) == (side, d_star, independent)
+
+
+def test_golay_weight_distribution(capsys, tmp_path):
+    # the code is self-dual, so the dual side's distribution is its own
+    m = BitMatrix.from_lists(extended_golay())
+    assert (m.rows, m.cols) == (12, 24)
+    coeffs = analyze(m).enumerator.coeffs
+    assert {w: c for w, c in enumerate(coeffs) if c} == GOLAY_WEIGHTS
+    path = tmp_path / "golay.txt"
+    path.write_text(str(m) + "\n")
+    assert main(["count", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["enumerator"]["coeffs"] == list(coeffs)

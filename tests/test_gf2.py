@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gf2count import (
     BitMatrix,
@@ -12,7 +12,7 @@ from gf2count import (
     rank,
     systematic_form,
 )
-from naive import naive_rank, row_lists
+from naive import naive_rank, naive_systematic_form, row_lists
 
 
 @st.composite
@@ -107,6 +107,24 @@ def test_systematic_form_permutes_when_forced():
     # the permuted original must span the same space as the output
     moved = permute_columns(m, sf.col_perm)
     assert rank(BitMatrix(4, 4, moved.bits + sf.matrix.bits)) == 2
+
+
+@given(matrices())
+@example(parse_matrix("0101\n0011"))  # pivot columns 1 and 2 move to the front
+@example(parse_matrix("1100\n0011"))
+@example(parse_matrix("0110\n0110\n1001"))  # rank deficient
+def test_systematic_form_matches_naive_gauss_jordan(m):
+    rows = row_lists(m)
+    got = naive_rank(rows)
+    if got < m.rows:
+        with pytest.raises(RankError) as exc:
+            systematic_form(m)
+        assert str(exc.value) == f"matrix has rank {got}, full row rank {m.rows} required"
+        return
+    reduced, col_perm = naive_systematic_form(rows)
+    sf = systematic_form(m)
+    assert sf.matrix.bits == tuple(sum(e << j for j, e in enumerate(row)) for row in reduced)
+    assert sf.col_perm == tuple(col_perm)
 
 
 def test_systematic_form_rejects_rank_deficient():
