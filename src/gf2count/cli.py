@@ -40,9 +40,9 @@ from .counting import (
     CountReport,
     analyze,
     complement_duality_check,
-    _completions,
     row_op_invariance_check,
-    systematic_count,
+    systematic_counts,
+    systematic_rows,
 )
 from .errors import (
     BudgetError,
@@ -79,7 +79,7 @@ DEFAULT_WITNESS_CAP = 32
 
 def _read_matrix(path: str) -> BitMatrix:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_matrix(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
@@ -210,25 +210,16 @@ def cmd_sets(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _candidate_rows(p_bits: int, k: int, w: int) -> tuple[int, ...]:
-    """Rows of [I | P], its k x w block P read row-major from p_bits."""
-    pmask = (1 << w) - 1
-    return tuple([1 << i | (p_bits >> i * w & pmask) << k for i in range(k)])
-
-
 def run_search(args: argparse.Namespace) -> dict:
-    """Score candidate systematic matrices by the subset DP; keep the best.
+    """Score candidate systematic matrices [I | P]; keep the best.
 
     Every full-row-rank matrix is row-op plus column-permutation
     equivalent to some [I | P], and the counts are invariant under both,
-    so scanning P blocks alone covers all attainable values of I.  For
-    k <= 3 the rows of [I | P], built from p_bits, are scored at once by
-    the DP's closed form, which counts column types and needs no column
-    order.  For k >= 4, I depends only on the multiset of P's columns, so
-    each multiset is scored once, by the DP with its columns in sorted
-    order.  ``--budget`` caps the ``--exhaustive`` candidate count and each
-    multiset's visits to DP states of four or more words, so it caps no
-    DP at k <= 3.
+    so scanning P blocks alone covers all attainable values of I.  The
+    candidates are every P block or seeded draws, first occurrences in
+    order, and ``counting.systematic_counts`` scores them.  ``--budget``
+    caps the ``--exhaustive`` candidate count and each column multiset's
+    visits to DP states of four or more words, so it caps no DP at k <= 3.
     Returns a JSON-ready summary dict.
     """
     k, n = args.k, args.n
@@ -243,28 +234,13 @@ def run_search(args: argparse.Namespace) -> dict:
         candidates = range(1 << width)
     else:
         rng = random.Random(args.seed)
-        seen: set[int] = set()
-        ordered: list[int] = []
-        for _ in range(args.samples):
-            p = rng.getrandbits(width) if width else 0
-            if p not in seen:
-                seen.add(p)
-                ordered.append(p)
-        candidates = ordered
+        candidates = list(dict.fromkeys(rng.getrandbits(width) for _ in range(args.samples)))
 
-    scores: dict[str, int] = {}
     best = -1
     achieved = 0
     witnesses: list[BitMatrix] = []
-    for p_bits in candidates:
-        if k <= 3:  # at most three words: the DP would close them at once
-            value = _completions(_candidate_rows(p_bits, k, w))
-        else:
-            text = format(p_bits, f"0{width}b")[::-1]  # P row-major: (i, j) at i * w + j
-            key = "".join(sorted([text[j::w] for j in range(w)]))  # P's sorted columns
-            value = scores.get(key)
-            if value is None:
-                value = scores[key] = systematic_count(key, k, budget=args.budget)
+    scores = systematic_counts(candidates, k, w, budget=args.budget)
+    for p_bits, value in zip(candidates, scores):
         if value > best:
             best = value
             achieved = 0
@@ -272,7 +248,7 @@ def run_search(args: argparse.Namespace) -> dict:
         if value == best:
             achieved += 1
             if len(witnesses) < args.witnesses:
-                witnesses.append(BitMatrix(k, n, _candidate_rows(p_bits, k, w)))
+                witnesses.append(BitMatrix(k, n, systematic_rows(p_bits, k, w)))
     return {
         "k": k,
         "n": n,

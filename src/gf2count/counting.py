@@ -24,8 +24,11 @@ words in closed form.  Its one entry, ``_walk``, starts from
 The DP and the scan are limited by one work budget, counted in visits
 to DP states of four or more words or in subsets scanned.  ``analyze``
 ties them together: it picks the cheaper side (code or dual) for the
-distribution, checks the distance condition, applies the formula when
-it is valid and falls back to the DP when it is not.
+distribution, checks the distance condition, and runs its exact methods
+from one ordered list, the formula when it is valid and the DP when
+nothing else runs.  ``systematic_counts`` scores ``search``'s
+candidates [I | P]: in closed form for k <= 3, else by one walk per
+multiset of P's columns.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -37,7 +40,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, compress
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
 from .errors import (
@@ -386,17 +389,41 @@ def _walk(start: tuple[int, ...], n: int, budget: int) -> int:
     return full
 
 
-def systematic_count(p_text: str, k: int, *, budget: int = DEFAULT_BUDGET) -> int:
-    """``basis_count`` of [I | P], P as 0/1 text column by column, row 0 first.
+def systematic_rows(p_bits: int, k: int, w: int) -> tuple[int, ...]:
+    """Rows of [I | P], column j at bit j; P's entry (i, j) is bit i * w + j of p_bits."""
+    pmask = (1 << w) - 1
+    return tuple([1 << i | (p_bits >> i * w & pmask) << k for i in range(k)])
 
-    In the DP's layout, column j at bit n - 1 - j, the rows of [I | P]
-    are its start state as they stand: row i alone holds the identity's
-    bit n - 1 - i, so they are fully reduced and go to ``_walk`` at once.
+
+def systematic_counts(
+    blocks: Iterable[int], k: int, w: int, *, budget: int = DEFAULT_BUDGET
+) -> Iterator[int]:
+    """``basis_count`` of [I | P] for each block P, read as by ``systematic_rows``.
+
+    For k <= 3 the rows are counted at once by ``_completions``, which
+    needs no column order.  Otherwise the count depends only on the
+    multiset of P's columns, so each multiset is walked once: its key is
+    P's columns as 0/1 text, row 0 first, sorted and joined.  In the
+    DP's layout, column j at bit n - 1 - j, row i of [I | P] in that
+    column order is the identity's bit n - 1 - i over the key's
+    characters i, i + k, ... read in binary.  It alone holds that bit,
+    so the rows are fully reduced and are ``_walk``'s start as they stand.
     Raises BudgetError as ``_walk`` does, so never for k <= 3.
     """
-    n = k + len(p_text) // k
-    start = tuple(1 << (n - 1 - i) | int(p_text[i::k], 2) for i in range(k))
-    return _walk(start, n, budget)
+    if k <= 3:
+        for p_bits in blocks:
+            yield _completions(systematic_rows(p_bits, k, w))
+        return
+    n, width = k + w, k * w
+    scores: dict[str, int] = {}
+    for p_bits in blocks:
+        text = format(p_bits, f"0{width}b")[::-1]  # P row-major: (i, j) at i * w + j
+        key = "".join(sorted([text[j::w] for j in range(w)]))
+        value = scores.get(key)
+        if value is None:
+            start = tuple(1 << (n - 1 - i) | int(key[i::k], 2) for i in range(k))
+            value = scores[key] = _walk(start, n, budget)
+        yield value
 
 
 @dataclass(frozen=True)
@@ -478,14 +505,16 @@ def analyze(
         auto: formula when the distance condition holds, otherwise the subset DP.
         formula: closed form only; ConditionError if the condition fails.
         oracle: subset scan only.
-        both: run the formula, the subset DP and the scan and require
+        both: run the formula, the scan and the subset DP and require
             all three to agree exactly (ConsistencyError).
 
     collect_sets makes the scan run even in auto mode (the lists cannot
-    come from the formula or the DP); with a valid condition the two
-    methods are then cross-checked and the report says method "both".
-    A DP answer is reported as method "oracle", an exact count that did
-    not come from the formula.
+    come from the formula or the DP).  The methods run from one list in
+    that order, the formula when the condition holds outside oracle
+    mode, then the scan, then the DP in both mode or when nothing else
+    runs, and each D must equal the one before it.  The report's method
+    is "formula" when the formula alone ran, "both" when it ran with
+    another and "oracle", an exact count not from the formula, otherwise.
 
     Raises:
         RankError: m is rank deficient.
@@ -514,34 +543,29 @@ def analyze(
             f"2 * {max(k, n - k)}; the formula may double count here"
         )
 
-    formula_d: Optional[int] = None
-    if holds and mode != "oracle":
-        formula_d = singular_count_formula(we, k)
-
     scan: Optional[BruteForceResult] = None
-    if mode in ("oracle", "both") or collect_sets:
+
+    def scanned() -> int:
+        nonlocal scan
         scan = brute_force_counts(m, budget=budget, collect_sets=collect_sets)
-        singular = scan.singular_count
-        if formula_d is None:
-            method = "oracle"
-        elif formula_d == singular:
-            method = "both"
-        else:
-            raise ConsistencyError(
-                f"formula gives D={formula_d} but the scan found D={singular}"
-            )
-        if mode == "both":
-            dp_d = total - basis_count(gen, budget=budget)
-            if dp_d != singular:
-                raise ConsistencyError(
-                    f"the scan found D={singular} but the subset DP found D={dp_d}"
-                )
-    elif not holds:
-        method = "oracle"
-        singular = total - basis_count(gen, budget=budget)
-    else:
-        method = "formula"
-        singular = formula_d  # type: ignore[assignment]
+        return scan.singular_count
+
+    # the exact methods that run, in order, each with how a mismatch names its D
+    plan = []
+    if holds and mode != "oracle":
+        plan.append(("formula gives", lambda: singular_count_formula(we, k)))
+    if mode in ("oracle", "both") or collect_sets:
+        plan.append(("the scan found", scanned))
+    if mode == "both" or not plan:
+        plan.append(("the subset DP found", lambda: total - basis_count(gen, budget=budget)))
+    singular = -1
+    for i, (found, run) in enumerate(plan):
+        d = run()
+        if i and d != singular:
+            raise ConsistencyError(f"{plan[i - 1][0]} D={singular} but {found} D={d}")
+        singular = d
+    method = ("oracle" if plan[0][0] != "formula gives"
+              else "formula" if len(plan) == 1 else "both")
 
     return CountReport(
         n=n,

@@ -134,6 +134,14 @@ def test_non_utf8_matrix_file_exits_3(capsys, tmp_path, command):
     assert f"error: cannot read {p}: 'utf-8' codec can't decode" in err
 
 
+def test_byte_order_mark_is_read_past(capsys, tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(b"\xef\xbb\xbf" + Path(G74).read_bytes())
+    for fmt in ("text", "json"):
+        assert run(capsys, "count", str(p), "--format", fmt) == run(
+            capsys, "count", G74, "--format", fmt)
+
+
 def test_rank_deficient_exit(capsys, tmp_path):
     p = tmp_path / "flat.txt"
     p.write_text("11\n11\n")
@@ -442,10 +450,18 @@ def test_search_runs_no_dp_for_three_rows_or_fewer(capsys, monkeypatch, k, n, mo
     def boom(*args, **kwargs):
         raise AssertionError("search ran the DP at k <= 3")
 
-    monkeypatch.setattr(counting, "_walk", boom)
-    monkeypatch.setattr(counting, "systematic_count", boom)
-    monkeypatch.setattr(cli, "systematic_count", boom)
+    scored = []
+    entry = counting.systematic_counts
+
+    def spy(blocks, k, w, *, budget):  # the scores still come from counting's entry
+        for value in entry(blocks, k, w, budget=budget):
+            scored.append(value)
+            yield value
+
+    monkeypatch.setattr(counting, "_walk", boom)  # the entry's one DP path
+    monkeypatch.setattr(cli, "systematic_counts", spy)
     _check_search_by_scan(capsys, k, n, mode)
+    assert scored
 
 
 def test_search_exhaustive_3_by_8_table_row(capsys):

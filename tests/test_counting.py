@@ -32,7 +32,7 @@ from gf2count import (
     systematic_form,
     weight_enumerator,
 )
-from gf2count.cli import _candidate_rows
+from gf2count.counting import systematic_rows
 from naive import (
     mobius_full_rank_count,
     naive_dual_basis,
@@ -200,6 +200,51 @@ def test_double_counting_witness(g107):
     assert dual_we.coeffs == (1, 0, 0, 0, 2, 0, 4, 0, 1, 0, 0)
     assert singular_count_formula(dual_we, 7) == 56
     assert brute_force_counts(g107).singular_count == 54
+
+
+_DECISIONS = [
+    # mode, whether the condition holds (g74) or fails (g107), collect_sets,
+    # the methods that run in order, and the method reported or the error raised
+    ("auto", True, False, ["formula"], "formula"),
+    ("auto", True, True, ["formula", "scan"], "both"),
+    ("auto", False, False, ["dp"], "oracle"),
+    ("auto", False, True, ["scan"], "oracle"),
+    ("formula", True, False, ["formula"], "formula"),
+    ("formula", True, True, [], ValueError),
+    ("formula", False, False, [], ConditionError),
+    ("formula", False, True, [], ValueError),
+    ("oracle", True, False, ["scan"], "oracle"),
+    ("oracle", True, True, ["scan"], "oracle"),
+    ("oracle", False, False, ["scan"], "oracle"),
+    ("oracle", False, True, ["scan"], "oracle"),
+    ("both", True, False, ["formula", "scan", "dp"], "both"),
+    ("both", True, True, ["formula", "scan", "dp"], "both"),
+    ("both", False, False, [], ConditionError),
+    ("both", False, True, [], ConditionError),
+]
+
+
+@pytest.mark.parametrize("mode, holds, collect_sets, ran, outcome", _DECISIONS)
+def test_analyze_decision_table(request, monkeypatch, mode, holds, collect_sets, ran,
+                                outcome):
+    m = request.getfixturevalue("g74" if holds else "g107")
+    calls = []
+    for label, name in (("formula", "singular_count_formula"),
+                        ("scan", "brute_force_counts"), ("dp", "basis_count")):
+        def spy(*args, _label=label, _run=getattr(counting, name), **kwargs):
+            calls.append(_label)
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(counting, name, spy)
+    if isinstance(outcome, str):
+        rep = analyze(m, mode, collect_sets=collect_sets)
+        assert rep.method == outcome
+        assert rep.singular_count == (7 if holds else 54)
+        assert (rep.dependent_sets is not None) == collect_sets
+    else:
+        with pytest.raises(outcome):
+            analyze(m, mode, collect_sets=collect_sets)
+    assert calls == ran
 
 
 def test_analyze_mode_validation(g74):
@@ -531,14 +576,6 @@ def test_basis_count_matches_scan_on_ordered_shapes(k, n, seed):
     assert basis_count(m) == brute_force_counts(m).full_rank_count
 
 
-def _sorted_p_text(k: int, n: int, p_bits: int) -> str:
-    """P's columns as 0/1 text, row 0 first, sorted and joined: ``search``'s multiset key."""
-    w = n - k
-    return "".join(sorted(
-        "".join(str(p_bits >> (i * w + j) & 1) for i in range(k)) for j in range(w)
-    ))
-
-
 _PINNED_DP = {
     # min(r, n - r) <= 4: the columns in the given order
     "random 4x30": lambda b: basis_count(random_full_rank(4, 30, seed=3), budget=b),
@@ -550,10 +587,9 @@ _PINNED_DP = {
     "random 10x24": lambda b: basis_count(random_full_rank(10, 24, seed=0), budget=b),
     "banded 30x90": lambda b: basis_count(_banded(30, 90, 0), budget=b),
     "banded 12x36": lambda b: basis_count(_banded(12, 36, 1), budget=b),
-    "systematic 5x10": lambda b: counting.systematic_count(
-        _sorted_p_text(5, 10, 0x13EECF8), 5, budget=b),
-    "systematic 6x12": lambda b: counting.systematic_count(
-        _sorted_p_text(6, 12, 0xB4164D839), 6, budget=b),
+    "systematic 5x10": lambda b: next(counting.systematic_counts([0x13EECF8], 5, 5, budget=b)),
+    "systematic 6x12": lambda b: next(
+        counting.systematic_counts([0xB4164D839], 6, 6, budget=b)),
 }
 
 
@@ -650,10 +686,11 @@ def test_systematic_count_matches_basis_count_and_mobius(block):
     k, n, p_bits = block
     w = n - k
     p = [[p_bits >> (i * w + j) & 1 for j in range(w)] for i in range(k)]
-    columns = ["".join(str(p[i][j]) for i in range(k)) for j in range(w)]
-    expected = basis_count(BitMatrix(k, n, _candidate_rows(p_bits, k, w)))
-    assert counting.systematic_count("".join(columns), k) == expected
-    assert counting.systematic_count("".join(sorted(columns)), k) == expected
+    columns = [sum(p[i][j] << i for i in range(k)) for j in range(w)]
+    expected = basis_count(BitMatrix(k, n, systematic_rows(p_bits, k, w)))
+    assert next(counting.systematic_counts([p_bits], k, w)) == expected
+    permuted = _p_bits(columns[1:] + columns[:1], k)  # column 0 moved last
+    assert next(counting.systematic_counts([permuted], k, w)) == expected
     unit = [[int(c == i) for c in range(k)] for i in range(k)]
     assert mobius_full_rank_count([unit[i] + p[i] for i in range(k)]) == expected
 
@@ -672,7 +709,7 @@ def test_search_score_of_three_rows_or_fewer_matches_naive_split(block):
     w = n - k
     rows = [[int(c == i) for c in range(k)]
             + [p_bits >> (i * w + j) & 1 for j in range(w)] for i in range(k)]
-    score = counting._completions(_candidate_rows(p_bits, k, w))
+    score = counting._completions(systematic_rows(p_bits, k, w))
     assert score == len(naive_subset_split(rows)[1])
 
 
@@ -808,5 +845,6 @@ def test_both_mode_checks_the_formula_against_the_scan(g74, monkeypatch):
 def test_both_mode_checks_the_dp(g74, monkeypatch):
     assert analyze(g74, mode="both").method == "both"
     monkeypatch.setattr(counting, "basis_count", lambda gen, *, budget: 0)
-    with pytest.raises(ConsistencyError, match="DP"):
+    with pytest.raises(ConsistencyError,
+                       match="the scan found D=7 but the subset DP found D=35"):
         analyze(g74, mode="both")

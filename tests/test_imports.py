@@ -6,8 +6,11 @@ modules with ``ast``.  The first reports imported names that are never
 referenced; ``__init__.py`` is skipped, since it imports names to
 re-export them.  The second requires each name in ``gf2count.__all__``
 to be read by another module of the package or imported by the
-acceptance tests.  The third requires ``__init__.py`` to import exactly
-the names listed in ``__all__``, since each is written in both places.
+acceptance tests.  The third requires ``cli`` to import no name with a
+leading underscore from the package, so the front end uses only what
+the other modules offer.  The fourth requires ``__init__.py`` to import
+exactly the names listed in ``__all__``, since each is written in both
+places.
 """
 
 import ast
@@ -75,6 +78,19 @@ def test_public_names_are_needed_outside_the_tests():
     for path in MODULES:
         needed |= loaded_names(path.read_text(encoding="utf-8"))
     assert sorted(set(gf2count.__all__) - needed) == []
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "gf2count")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_package_imports_exactly_its_public_names():
