@@ -770,7 +770,11 @@ def deep_scan_matrices(draw):
     column, so zero and repeated columns are common.
     """
     k = draw(st.integers(4, 7))
-    n = draw(st.integers(k, 12))
+    return _draw_rows(draw, k, draw(st.integers(k, 12)))
+
+
+def _draw_rows(draw, k: int, n: int) -> list[list[int]]:
+    """k unit columns at random places, the rest from a pool holding 0, or random."""
     pivots = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
     pool = [0] + draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4))
     column = st.one_of(st.sampled_from(pool), st.integers(0, (1 << k) - 1))
@@ -781,8 +785,8 @@ def deep_scan_matrices(draw):
 
 
 @given(deep_scan_matrices())
-@example(_rows_of([1, 2, 3, 0, 1, 3], 2))  # k = 2: the top level is the two-word leaf
-@example(_rows_of([1, 2, 0, 4, 6, 6, 5], 3))  # k = 3: the top level is the three-word loop
+@example(_rows_of([1, 2, 3, 0, 1, 3], 2))  # k = 2: the top state branches to one-word leaves
+@example(_rows_of([1, 2, 0, 4, 6, 6, 5], 3))  # k = 3: the top state runs the three-word loop
 @example(_rows_of([1, 2, 4, 8, 16], 5))  # k = n
 # after column 0, a three-word state over a zero column (2) and a repeated one (4, 5)
 @example(_rows_of([1, 2, 0, 4, 6, 6, 8, 9], 4))
@@ -797,6 +801,84 @@ def test_scan_below_the_top_level_matches_naive_split(rows):
     assert res.bitmap == _lex_bitmap(set(ind), n, k)
     assert row_op_invariance_check(m, trials=3)
     assert complement_duality_check(systematic_form(m))
+
+
+@st.composite
+def closing_scan_cases(draw):
+    """(rows, cap): full-row-rank k x n rows, n <= 14, and a lane cap for the scan.
+
+    The scan closes a state of rem words over m later columns when its
+    C(m, rem) lanes fit the lane cap, its masks fit the bit cap and
+    2^rem * m / 2 + rem * m^2 / (2 s) < C(m, rem - 1) (the rule above
+    ``counting._CLOSE_MAX_LANES``).  Below n = 13 no state passes the
+    cost test, so every state branches; at n = 13 and 14 the top state
+    passes it for k = 5..7 and 5..8, and no mask here nears the bit cap.
+    A lane cap under C(n, k) makes the top branch while a child that
+    fits can still close.
+    Columns mix units, a pool that holds the zero column, and random ones.
+    """
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 14)))
+    k = min(n, draw(st.one_of(st.integers(1, n), st.integers(5, 8))))
+    cap = draw(st.sampled_from([counting._CLOSE_MAX_LANES, 1 << 11, 1 << 9]))
+    return _draw_rows(draw, k, n), cap
+
+
+_CAP = counting._CLOSE_MAX_LANES
+_UNITS_14 = [1 << i for i in range(14)]
+
+
+@given(closing_scan_cases())
+# C(14, 6) = 3003 lanes exceed a 2^11 lane cap, so the top branches; its child
+# (13, 5) fits, and 2^5 * 13 + 5 * 13^2 = 1261 < 2 * C(13, 4) = 1430 closes it
+@example((_rows_of([1, 2, 4, 8, 16, 32, 3, 0, 5, 3, 63, 12, 48, 0], 6), 1 << 11))
+# k = 2 and 3 never pass the cost test (2^k * m / 2 + k * m^2 / 2 > C(m, k - 1)):
+# k = 2 branches to one-word leaves, k = 3 runs the three-word loop
+@example((_rows_of([1, 2, 3, 0, 2, 1, 3, 3, 0, 1, 2, 3, 1, 2], 2), _CAP))
+@example((_rows_of([1, 2, 4, 7, 0, 3, 5, 6, 7, 1, 0, 2, 4, 6], 3), _CAP))
+# k = 12 of 14: no state has m - rem > 2, and 2^rem * m / 2 > C(m, rem - 1) at
+# every one of them, so every state branches
+@example((_rows_of(_UNITS_14[:12] + [4095, 1365], 12), _CAP))
+@example((_rows_of([1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1], 1), _CAP))  # k = 1: one leaf
+# k = n = 13: one lane, and closing's 2^13 words never pay, so it branches
+@example((_rows_of(_UNITS_14[:13], 13), _CAP))
+# the top (13, 6) closes, 2^6 * 13 + 6 * 13^2 = 1846 < 2 * C(13, 5) = 2574,
+# over zero columns and repeated ones
+@example((_rows_of([1, 2, 4, 8, 16, 32, 0, 7, 7, 0, 33, 33, 7], 6), _CAP))
+@settings(max_examples=40, deadline=None)
+def test_scan_on_both_sides_of_the_closing_rule_matches_naive_split(case):
+    rows, cap = case
+    k, n = len(rows), len(rows[0])
+    dep, ind = naive_subset_split(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_CLOSE_MAX_LANES", cap)
+        res = brute_force_counts(BitMatrix.from_lists(rows), collect_sets=True)
+    assert list(res.dependent_sets) == dep
+    assert list(res.independent_sets) == ind
+    assert res.bitmap == _lex_bitmap(set(ind), n, k)
+    assert (res.singular_count, res.full_rank_count) == (len(dep), len(ind))
+
+
+def test_closing_rule_examples_close_where_their_comments_say(monkeypatch):
+    closed = []
+    masks = counting._cocircuit_masks
+    monkeypatch.setattr(counting, "_cocircuit_masks",
+                        lambda shapes, binom: closed.append(set(shapes)) or masks(shapes, binom))
+    for k, n, cap in [(6, 14, 1 << 11), (2, 14, _CAP), (3, 14, _CAP), (12, 14, _CAP),
+                      (1, 14, _CAP), (13, 13, _CAP), (6, 13, _CAP), (12, 18, _CAP)]:
+        monkeypatch.setattr(counting, "_CLOSE_MAX_LANES", cap)
+        counting._independent_bitmap([1 << i for i in range(k)], n)
+    assert closed == [{(13, 5)}, set(), set(), set(), set(), set(), {(13, 6)},
+                      {(17, 11), (12, 7)}]
+
+
+def test_scan_closing_below_the_top_matches_the_dp_at_12x18():
+    # the smallest shape whose top branches under the real caps while deeper
+    # states close, (17, 11) and (12, 7); on its 6 x 18 dual the top's masks
+    # pass the bit cap, so the top branches there too and its children close
+    m = random_full_rank(12, 18, seed=3)
+    assert brute_force_counts(m).full_rank_count == basis_count(m)
+    assert complement_duality_check(systematic_form(m))
+    assert row_op_invariance_check(m, trials=3)
 
 
 def test_row_op_invariance_detects_a_changed_family(g74, monkeypatch):

@@ -17,7 +17,8 @@ from math import factorial
 import pytest
 
 from families import extended_golay, gl_order, hamming, reed_muller_1, simplex
-from gf2count import BitMatrix, analyze
+from gf2count import (BitMatrix, analyze, brute_force_counts, complement_duality_check,
+                      row_op_invariance_check, systematic_form)
 from gf2count.cli import main
 
 SIMPLEX_I = dict(zip(range(3, 7), (28, 840, 83_328, 27_998_208)))
@@ -67,3 +68,20 @@ def test_golay_weight_distribution(capsys, tmp_path):
     assert main(["count", str(path), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["enumerator"]["coeffs"] == list(coeffs)
+
+
+@pytest.mark.parametrize("rows, independent", [
+    pytest.param(simplex(4), SIMPLEX_I[4], id="simplex-4"),
+    pytest.param(reed_muller_1(4), RM1_I[4], id="rm1-4"),
+    pytest.param(simplex(5), SIMPLEX_I[5], id="simplex-5"),  # 169,911 subsets
+    pytest.param(hamming(4), SIMPLEX_I[4], id="hamming-4"),
+])
+def test_family_through_the_scan(rows, independent):
+    # a second exact method beside the formula and the DP that analyze runs
+    assert brute_force_counts(BitMatrix.from_lists(rows)).full_rank_count == independent
+
+
+def test_simplex_4_passes_the_scan_checks():
+    m = BitMatrix.from_lists(simplex(4))
+    assert complement_duality_check(systematic_form(m))
+    assert row_op_invariance_check(m, trials=3)
