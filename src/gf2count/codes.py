@@ -102,7 +102,7 @@ def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
     k, n = gen.rows, gen.cols
     r = rank(gen)
     if r != k:
-        raise RankError(f"generator has rank {r}, expected {k}")
+        raise RankError(f"matrix has rank {r}, full row rank {k} required")
     if k > DEFAULT_MAX_ENUM_DIM:
         raise BudgetError(
             f"enumerating 2^{k} codewords exceeds the dimension guard "

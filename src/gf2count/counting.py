@@ -17,10 +17,13 @@ space that vanishes on the prefix.  The scan walks depth first, each
 call returning its run of a lexicographic bitmap of the independent
 subsets as an int; where a cost rule says so it closes a state at once,
 as the AND over the subcode's nonzero words of the lanes that meet each
-word's support.  The DP restricts the subcode to the later columns,
-counts the prefixes that share it together and finishes a subcode of at
-most three words in closed form.  Its one entry, ``_walk``, starts from
-``gf2.reduced_basis`` and alone chooses the DP's column order.
+word's support.  One call scans any number of k x n row sets; it
+decides each state shape, and builds a closing one's lanes, once, in a
+table that ends with the call.  The DP restricts the subcode to the
+later columns, counts the prefixes that share it together and finishes
+a subcode of at most three words in closed form.  Its one entry,
+``_walk``, starts from ``gf2.reduced_basis`` and alone chooses the DP's
+column order.
 
 The DP and the scan are limited by one work budget, counted in visits
 to DP states of four or more words or in subsets scanned.  ``analyze``
@@ -128,7 +131,7 @@ _DEPENDENT_FLAGS = bytes.maketrans(b"01", b"\1\0")
 
 # The scan closes a state of rem words over m later columns when its
 # C(m, rem) lanes fit _CLOSE_MAX_LANES, its masks (m ints of C(m, rem)
-# bits, kept for the whole scan) hold at most _CLOSE_MAX_MASK_BITS per
+# bits, kept for the whole call) hold at most _CLOSE_MAX_MASK_BITS per
 # state that can share them, and 2^rem * m / 2 + rem * m^2 / (2 s) <
 # C(m, rem - 1): closing ORs about m / 2 masks per nonzero word, and the
 # masks cost about rem * m^2 / 2 ORs shared by the s = C(n - m - 1, k -
@@ -146,31 +149,16 @@ _CLOSE_MAX_LANES = 1 << 16
 _CLOSE_MAX_MASK_BITS = 1 << 18
 
 
-def _cocircuit_masks(shapes: set[tuple[int, int]], binom: list[list[int]]) -> dict:
-    """{(m, r): H} for the shapes, H[c] the lanes of the lexicographic r-subsets
-    of m columns that hold column c, built row m = 1, 2, ... from row m - 1
-    alone by Pascal's rule: H(m, r)[0] is the low C(m - 1, r - 1) lanes and
-    H(m, r)[c] = H(m - 1, r - 1)[c - 1] | H(m - 1, r)[c - 1] << C(m - 1, r - 1)."""
-    need: dict[int, set[int]] = {}  # row m -> the r that the shapes are built from
-    for top, rem in shapes:
-        for m in range(top, 0, -1):
-            need.setdefault(m, set()).update(range(max(0, rem - top + m), min(rem, m) + 1))
-    masks, row = {}, {}
-    for m in sorted(need):
-        prev, row = row, {}
-        for r in need[m]:
-            if 0 < r < m:
-                low = binom[r - 1][m - 1]
-                row[r] = [(1 << low) - 1] + [a | b << low for a, b in zip(prev[r - 1], prev[r])]
-            else:
-                row[r] = [min(r, 1)] * m
-            if (m, r) in shapes:
-                masks[m, r] = row[r]
-    return masks
+def _closes(m: int, rem: int, k: int, n: int) -> bool:
+    """The rule above: does a k x n scan close its states of rem words over m columns?"""
+    size = comb(m, rem)
+    states = comb(n - m - 1, k - rem - 1) if rem < k else 1
+    return (size <= _CLOSE_MAX_LANES and m * size <= states * _CLOSE_MAX_MASK_BITS
+            and (m << rem) + rem * m * m // states < 2 * comb(m, rem - 1))
 
 
-def _independent_bitmap(rows: Sequence[int], n: int) -> int:
-    """Bitmap of the independent k-subsets of columns 0..n-1, k = len(rows).
+def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> Iterator[int]:
+    """Bitmap of the independent k-subsets of columns 0..n-1 for each set of k rows.
 
     Bit i is set exactly when the i-th k-subset in lexicographic order
     is independent.  A depth-first walk over column prefixes A keeps a
@@ -180,11 +168,16 @@ def _independent_bitmap(rows: Sequence[int], n: int) -> int:
     t for the t-th of their C(m, rem) subsets in lexicographic order.
 
     A completion is independent exactly when it meets the support of
-    every nonzero word of the span (every cocircuit).  A closed state
-    (the rule above ``_CLOSE_MAX_LANES``) is the AND over those words w
-    of the OR of the masks H[c] (``_cocircuit_masks``) over the later
-    columns c in w.  Each word is one XOR of a basis word and an earlier
-    word, kept as one byte per column, so its bytes pick its masks.
+    every nonzero word of the span (every cocircuit).  A closed state is
+    the AND over those words w of the OR of the masks H(m, rem)[c] over
+    the later columns c in w, H(m, r)[c] the lanes of the lexicographic
+    r-subsets of m columns that hold column c.  Each word is one XOR of a
+    basis word and an earlier word, kept as one byte per column, so its
+    bytes pick its masks.  The rule above ``_CLOSE_MAX_LANES``
+    (``_closes``) decides a shape (m, rem) where the walk first reaches
+    it, and a closing shape's H is built then by Pascal's rule from rows
+    of m - 1: H(m, r)[0] is the low C(m - 1, r - 1) lanes and H(m, r)[c] =
+    H(m - 1, r - 1)[c - 1] | H(m - 1, r)[c - 1] << C(m - 1, r - 1).
     Other states branch: column x extends A when a basis word has bit x,
     so the OR of the basis lists the next columns and no dependent prefix
     is visited; taking x clears bit x with the first word that has it
@@ -196,32 +189,35 @@ def _independent_bitmap(rows: Sequence[int], n: int) -> int:
     completion y of the child at x starts at bit C(n - x - 1, 2) -
     C(n - y, 2) of its run.
     """
-    k = len(rows)
     binom = [[1] * (n + 1)]  # binom[r][a] = C(a, r), summed by the hockey stick
     for _ in range(max(k, 2)):
         binom.append([0, *accumulate(binom[-1][:n])])
-    # the shapes (m, rem) that the walk closes; level rem is reached with m
-    # in [rem, top], the top level with m = n alone
-    shapes, top = set(), n
-    for rem in range(k, 2, -1):
-        branched = -1
-        for m in range(n if rem == k else rem, top + 1):
-            lanes = binom[rem][m]
-            states = binom[k - rem - 1][n - m - 1] if rem < k else 1
-            if (lanes <= _CLOSE_MAX_LANES and m * lanes <= states * _CLOSE_MAX_MASK_BITS
-                    and (m << rem) + rem * m * m // states < 2 * binom[rem - 1][m]):
-                shapes.add((m, rem))
-            else:
-                branched = m
-        top = branched - 1
-    masks = _cocircuit_masks(shapes, binom)
     pair = binom[2]
+    # one table for every row set of the call: table[rem][start] is H(n - start, rem)
+    # if a state of rem words from column start closes, else [], and None before the
+    # walk first reaches one; table[~r][m - r] is the row H(m, r), where m - r <= n - k.
+    table: list[list] = [[None] * (n + 1) for _ in range(k + 1)] + [
+        [None] * (n - k + 1) for _ in range(k + 1)]
+
+    def lanes(m: int, r: int) -> list[int]:
+        if not 0 < r < m:
+            return [min(r, 1)] * m
+        row = table[~r][m - r]
+        if row is None:
+            low = binom[r - 1][m - 1]
+            row = table[~r][m - r] = [(1 << low) - 1] + [
+                a | b << low for a, b in zip(lanes(m - 1, r - 1), lanes(m - 1, r))]
+        return row
 
     def walk(basis: list[int], start: int) -> int:
         rem = len(basis)
         col = binom[rem]
         size = col[n - start]
-        if masks and (held := masks.get((n - start, rem))):
+        held = table[rem][start]
+        if held is None:
+            m = n - start
+            held = table[rem][start] = lanes(m, rem) if rem > 2 and _closes(m, rem, k, n) else []
+        if held:
             m = n - start
             words: list[int] = []  # the nonzero words of the span
             for w in basis:
@@ -278,7 +274,8 @@ def _independent_bitmap(rows: Sequence[int], n: int) -> int:
             block |= walk(child, x + 1) << (size - col[n - x])
         return block
 
-    return walk(list(rows), 0)
+    for rows in row_sets:
+        yield walk(list(rows), 0)
 
 
 def brute_force_counts(
@@ -289,7 +286,7 @@ def brute_force_counts(
 ) -> BruteForceResult:
     """Classify every k-column subset of m by rank, as one bitmap.
 
-    A depth-first walk over column prefixes (``_independent_bitmap``)
+    A depth-first walk over column prefixes (``_independent_bitmaps``)
     marks the independent subsets in lexicographic order, closing some
     states as one AND over their subcode's nonzero words.  The counts are
     the bitmap's population and its complement, and collected lists are
@@ -313,7 +310,7 @@ def brute_force_counts(
     if total > budget:
         raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
 
-    bitmap = _independent_bitmap(m.bits, n)
+    bitmap = next(_independent_bitmaps([m.bits], k, n))
     independent = bitmap.bit_count()
     if not collect_sets:
         return BruteForceResult(total - independent, independent, None, None, bitmap)
@@ -724,6 +721,9 @@ def row_op_invariance_check(
 
     Row operations change the matrix but not which column subsets are
     dependent, so every variant must reproduce the base scan exactly.
+    The base is scanned by ``brute_force_counts``, which checks its
+    rank.  The variants are drawn one at a time and stream through one
+    call of ``_independent_bitmaps``; the first mismatch ends the check.
 
     Args:
         m: k x n matrix with full row rank.
@@ -742,8 +742,5 @@ def row_op_invariance_check(
         )
     rng = random.Random(seed)
     base = brute_force_counts(m, budget=budget).bitmap
-    for _ in range(trials):
-        variant = _random_row_equivalent(m, rng)
-        if brute_force_counts(variant, budget=budget).bitmap != base:
-            return False
-    return True
+    variants = (_random_row_equivalent(m, rng).bits for _ in range(trials))
+    return all(bitmap == base for bitmap in _independent_bitmaps(variants, k, n))

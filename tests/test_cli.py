@@ -169,6 +169,17 @@ def test_rank_deficient_primal_side_exit(capsys, tmp_path):
     assert "rank" in err
 
 
+def test_rank_deficient_input_gets_one_error_text(capsys, tmp_path):
+    # the weight enumerator finds it on the primal side (k < n - k) and for
+    # `weights`, the systematic form on the dual side; both word it the same
+    p = tmp_path / "flat.txt"
+    for text, k, got in (("0000\n", 1, 0), ("11010\n11010\n", 2, 1), ("1100\n1100\n", 2, 1)):
+        p.write_text(text)
+        for command in ("count", "sets", "weights"):
+            assert run(capsys, command, str(p)) == (
+                4, "", f"error: matrix has rank {got}, full row rank {k} required\n")
+
+
 def test_condition_exit(capsys):
     code, _, _ = run(capsys, "count", G107, "--mode", "formula")
     assert code == 5

@@ -860,15 +860,57 @@ def test_scan_on_both_sides_of_the_closing_rule_matches_naive_split(case):
 
 def test_closing_rule_examples_close_where_their_comments_say(monkeypatch):
     closed = []
-    masks = counting._cocircuit_masks
-    monkeypatch.setattr(counting, "_cocircuit_masks",
-                        lambda shapes, binom: closed.append(set(shapes)) or masks(shapes, binom))
+    closes = counting._closes
+
+    def record(m, rem, k, n):
+        shut = closes(m, rem, k, n)
+        if shut:
+            closed[-1].add((m, rem))
+        return shut
+
+    monkeypatch.setattr(counting, "_closes", record)
     for k, n, cap in [(6, 14, 1 << 11), (2, 14, _CAP), (3, 14, _CAP), (12, 14, _CAP),
                       (1, 14, _CAP), (13, 13, _CAP), (6, 13, _CAP), (12, 18, _CAP)]:
         monkeypatch.setattr(counting, "_CLOSE_MAX_LANES", cap)
-        counting._independent_bitmap([1 << i for i in range(k)], n)
+        closed.append(set())
+        next(counting._independent_bitmaps([[1 << i for i in range(k)]], k, n))
     assert closed == [{(13, 5)}, set(), set(), set(), set(), set(), {(13, 6)},
                       {(17, 11), (12, 7)}]
+
+
+@st.composite
+def closing_scan_batches(draw):
+    """(matrices, cap): one to four full-row-rank matrices of one k x n shape, n <= 14,
+    the first and the lane cap from ``closing_scan_cases``."""
+    rows, cap = draw(closing_scan_cases())
+    k, n = len(rows), len(rows[0])
+    more = [_draw_rows(draw, k, n) for _ in range(draw(st.integers(0, 3)))]
+    return [BitMatrix.from_lists(r) for r in [rows, *more]], cap
+
+
+@given(closing_scan_batches())
+# at 12 x 18 the top branches while (17, 11) and (12, 7) close under the real caps
+@example(([random_full_rank(12, 18, seed=s) for s in (3, 4, 5)], _CAP))
+@settings(max_examples=30, deadline=None)
+def test_one_scan_call_over_several_row_sets_matches_one_call_per_set(case):
+    matrices, cap = case
+    k, n = matrices[0].rows, matrices[0].cols
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_CLOSE_MAX_LANES", cap)
+        alone = [brute_force_counts(m).bitmap for m in matrices]
+        together = counting._independent_bitmaps((m.bits for m in matrices), k, n)
+        assert list(together) == alone
+        assert list(counting._independent_bitmaps([], k, n)) == []
+
+
+def test_row_op_invariance_check_scans_only_its_base_through_brute_force_counts(
+        g74, monkeypatch):
+    scanned = []
+    scan = counting.brute_force_counts
+    monkeypatch.setattr(counting, "brute_force_counts",
+                        lambda m, **kwargs: scanned.append(m) or scan(m, **kwargs))
+    assert row_op_invariance_check(g74, trials=20)
+    assert scanned == [g74]
 
 
 def test_scan_closing_below_the_top_matches_the_dp_at_12x18():
