@@ -29,7 +29,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace
 from functools import cache
 from math import comb
 from typing import Optional, Sequence
@@ -95,28 +94,17 @@ def _emit_json(obj: object) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _fmt_set(s: Sequence[int]) -> str:
-    return "{" + ", ".join(str(j + 1) for j in s) + "}"
-
-
-def _set_section(label: str, count: int, sets, limit: Optional[int]) -> list[str]:
-    if sets is None:
-        note = f" (list over limit {limit})" if limit is not None else ""
-        return [f"{label} ({count}): not listed{note}"]
-    lines = [f"{label} ({count}):"]
-    lines.extend("  " + _fmt_set(s) for s in sets)
+def _set_sections(rep: CountReport, limit: Optional[int]) -> list[str]:
+    lines = []
+    for label, count, sets in (("dependent sets", rep.singular_count, rep.dependent_sets),
+                               ("independent sets", rep.full_rank_count, rep.independent_sets)):
+        if sets is None:
+            note = f" (list over limit {limit})" if limit is not None else ""
+            lines.append(f"{label} ({count}): not listed{note}")
+        else:
+            lines.append(f"{label} ({count}):")
+            lines.extend("  {" + ", ".join(str(j + 1) for j in s) + "}" for s in sets)
     return lines
-
-
-def _within_limit(rep: CountReport, limit: Optional[int]) -> CountReport:
-    """Drop each subset list longer than limit; the lists' lengths are the counts."""
-    if limit is None:
-        return rep
-    return replace(
-        rep,
-        dependent_sets=rep.dependent_sets if rep.singular_count <= limit else None,
-        independent_sets=rep.independent_sets if rep.full_rank_count <= limit else None,
-    )
 
 
 def _report_text(rep: CountReport, permutation: tuple[int, ...],
@@ -144,17 +132,14 @@ def _report_text(rep: CountReport, permutation: tuple[int, ...],
     lines.append(f"full rank selections I: {rep.full_rank_count}")
     lines.append(f"total C({rep.n}, {rep.k}): {comb(rep.n, rep.k)}")
     if sets_requested:
-        lines.extend(_set_section("dependent sets", rep.singular_count,
-                                  rep.dependent_sets, set_limit))
-        lines.extend(_set_section("independent sets", rep.full_rank_count,
-                                  rep.independent_sets, set_limit))
+        lines.extend(_set_sections(rep, set_limit))
     return lines
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
-    rep = analyze(m, args.mode, budget=args.budget, collect_sets=args.list_sets)
-    rep = _within_limit(rep, args.set_limit)
+    rep = analyze(m, args.mode, budget=args.budget, collect_sets=args.list_sets,
+                  set_limit=args.set_limit)
     if args.format == "json":
         _emit_json(rep.to_json_dict())
     else:
@@ -195,17 +180,14 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 def cmd_sets(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
-    rep = analyze(m, "oracle", budget=args.budget, collect_sets=True)
-    rep = _within_limit(rep, args.set_limit)
+    rep = analyze(m, "oracle", budget=args.budget, collect_sets=True,
+                  set_limit=args.set_limit)
     if args.format == "json":
         _emit_json(rep.to_json_dict())
         return EXIT_OK
     lines = [f"matrix: {rep.k} x {rep.n}, C({rep.n}, {rep.k}) = "
              f"{comb(rep.n, rep.k)} selections"]
-    lines.extend(_set_section("dependent sets", rep.singular_count,
-                              rep.dependent_sets, args.set_limit))
-    lines.extend(_set_section("independent sets", rep.full_rank_count,
-                              rep.independent_sets, args.set_limit))
+    lines.extend(_set_sections(rep, args.set_limit))
     _emit(lines)
     return EXIT_OK
 

@@ -17,11 +17,12 @@ space that vanishes on the prefix.  The scan walks depth first, each
 call returning its run of a lexicographic bitmap of the independent
 subsets as an int; where a cost rule says so it closes a state at once,
 as the AND over the subcode's nonzero words of the lanes that meet each
-word's support.  One call scans any number of k x n row sets; it
-decides each state shape, and builds a closing one's lanes, once, in a
-table that ends with the call.  The DP restricts the subcode to the
-later columns, counts the prefixes that share it together and finishes
-a subcode of at most three words in closed form.  Its one entry,
+word's support, read a chunk of columns at a time from tables of ORs.
+One call scans any number of k x n row sets; it decides each state
+shape, and builds a closing one's tables, once, in a table that ends
+with the call.  The DP restricts the subcode to the later columns,
+counts the prefixes that share it together and finishes a subcode of
+at most three words in closed form.  Its one entry,
 ``_walk``, starts from ``gf2.reduced_basis`` and alone chooses the DP's
 column order.
 
@@ -42,10 +43,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, combinations, compress
 from math import comb
-from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
@@ -130,31 +129,40 @@ _DEPENDENT_FLAGS = bytes.maketrans(b"01", b"\1\0")
 
 
 # The scan closes a state of rem words over m later columns when its
-# C(m, rem) lanes fit _CLOSE_MAX_LANES, its masks (m ints of C(m, rem)
-# bits, kept for the whole call) hold at most _CLOSE_MAX_MASK_BITS per
-# state that can share them, and 2^rem * m / 2 + rem * m^2 / (2 s) <
-# C(m, rem - 1): closing ORs about m / 2 masks per nonzero word, and the
-# masks cost about rem * m^2 / 2 ORs shared by the s = C(n - m - 1, k -
-# rem - 1) prefixes that can reach the shape (1 at the top); branching
-# costs about a step per independent (rem - 1)-prefix.  Measured
-# branch/close time of one state, masks built beforehand (best of 5,
-# 2-vCPU Xeon, Python 3.11): 0.95-2.3 at the first m closed for rem =
-# 3..11 and 0.9-1.5 just below it; whole 6 x 14 to 9 x 16 scans closed
-# at the top, masks included, run 3.0x to 1.8x faster than branching it.
-# Past the lane cap wider ORs lose to closing the children: 0.85-1.0 at
-# rem = 8..12 by 1.3e5-2e5 lanes.  The bit cap holds a 5 x 60 scan's
-# masks to 1,778 KiB (3,616 KiB without it; peak RSS +4% over a scan that
-# closes nothing, where it was +13%) at 0.83-0.97x of its uncapped speed.
+# C(m, rem) lanes fit _CLOSE_MAX_LANES, its OR tables (2^width entries of
+# C(m, rem) bits per chunk of c = _CHUNK_BITS columns, E entries in all,
+# kept for the whole call) hold at most _CLOSE_MAX_MASK_BITS per state
+# that can share them, and 2 L + (10 E + 2 rem (m - rem) m) / s <
+# rem C(m, rem - 1), in units of 0.1 us measured per state (2-vCPU Xeon,
+# Python 3.11): closing costs 0.15-0.3 us for each of its L = (2^rem - 1)
+# ceil(m / c) lookups; building costs 1 us an entry and 0.4 us for each of
+# the about rem (m - rem) m / 2 ORs of the Pascal rows, shared by the s =
+# C(n - m - 1, k - rem - 1) prefixes that can reach the shape (1 at the
+# top); branching costs 0.07-0.11 rem us per independent (rem - 1)-prefix.
+# Scans closed at the top run 1.3-2.2x faster than branching it from
+# 6 x 14 to 9 x 16, and 0.95-1.9x at the first tops closed (5 x 10 to
+# 9 x 12).  Past the lane cap closing still wins (1.2-8x at 7e4-1.3e5
+# lanes, rem = 5..8), but each entry holds 2^16 bits or more: that cap
+# bounds memory.  c = 4 and the bit cap 2^20, which closes a 7 x 16 top
+# (64 x 11,440 bits), by verify_sets: op_s_p50 2.82 ms at c = 3, 2.62 at
+# 4, 2.44 at 5 with a cap of 2^21, where a 5 x 60 scan peaks at 12.8 MB,
+# not 8.2 (tracemalloc); op_s_p90 11.2 ms, not 6.2, at c = 4, cap 2^19.
 _CLOSE_MAX_LANES = 1 << 16
-_CLOSE_MAX_MASK_BITS = 1 << 18
+_CLOSE_MAX_MASK_BITS = 1 << 20
+_CHUNK_BITS = 4
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
 def _closes(m: int, rem: int, k: int, n: int) -> bool:
     """The rule above: does a k x n scan close its states of rem words over m columns?"""
     size = comb(m, rem)
     states = comb(n - m - 1, k - rem - 1) if rem < k else 1
-    return (size <= _CLOSE_MAX_LANES and m * size <= states * _CLOSE_MAX_MASK_BITS
-            and (m << rem) + rem * m * m // states < 2 * comb(m, rem - 1))
+    whole, tail = divmod(m, _CHUNK_BITS)
+    entries = (whole << _CHUNK_BITS) + (1 << tail if tail else 0)
+    lookups = ((1 << rem) - 1) * (whole + (tail > 0))
+    return (size <= _CLOSE_MAX_LANES and entries * size <= states * _CLOSE_MAX_MASK_BITS
+            and 2 * lookups + (10 * entries + 2 * rem * (m - rem) * m) // states
+            < rem * comb(m, rem - 1))
 
 
 def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> Iterator[int]:
@@ -171,13 +179,16 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
     every nonzero word of the span (every cocircuit).  A closed state is
     the AND over those words w of the OR of the masks H(m, rem)[c] over
     the later columns c in w, H(m, r)[c] the lanes of the lexicographic
-    r-subsets of m columns that hold column c.  Each word is one XOR of a
-    basis word and an earlier word, kept as one byte per column, so its
-    bytes pick its masks.  The rule above ``_CLOSE_MAX_LANES``
-    (``_closes``) decides a shape (m, rem) where the walk first reaches
-    it, and a closing shape's H is built then by Pascal's rule from rows
-    of m - 1: H(m, r)[0] is the low C(m - 1, r - 1) lanes and H(m, r)[c] =
-    H(m - 1, r - 1)[c - 1] | H(m - 1, r)[c - 1] << C(m - 1, r - 1).
+    r-subsets of m columns that hold column c.  The masks come in chunks
+    of ``_CHUNK_BITS`` columns, each with a table of the ORs of every
+    subset of its masks (Four Russians), so a word, one XOR of a basis
+    word and an earlier word shifted down by start, is ORed in one lookup
+    per chunk.  The rule above ``_CLOSE_MAX_LANES`` (``_closes``) decides
+    a shape (m, rem) where the walk first reaches it, and a closing
+    shape's tables are built then, one OR an entry, from H, whose rows
+    come by Pascal's rule from rows of m - 1: H(m, r)[0] is the low
+    C(m - 1, r - 1) lanes and H(m, r)[c] = H(m - 1, r - 1)[c - 1] |
+    H(m - 1, r)[c - 1] << C(m - 1, r - 1).
     Other states branch: column x extends A when a basis word has bit x,
     so the OR of the basis lists the next columns and no dependent prefix
     is visited; taking x clears bit x with the first word that has it
@@ -193,9 +204,10 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
     for _ in range(max(k, 2)):
         binom.append([0, *accumulate(binom[-1][:n])])
     pair = binom[2]
-    # one table for every row set of the call: table[rem][start] is H(n - start, rem)
-    # if a state of rem words from column start closes, else [], and None before the
-    # walk first reaches one; table[~r][m - r] is the row H(m, r), where m - r <= n - k.
+    # one table for every row set of the call: table[rem][start] holds the OR tables
+    # of H(n - start, rem) if a state of rem words from column start closes, else [],
+    # and None before the walk first reaches one; table[~r][m - r] is the row H(m, r),
+    # where m - r <= n - k.
     table: list[list] = [[None] * (n + 1) for _ in range(k + 1)] + [
         [None] * (n - k + 1) for _ in range(k + 1)]
 
@@ -209,6 +221,16 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
                 a | b << low for a, b in zip(lanes(m - 1, r - 1), lanes(m - 1, r))]
         return row
 
+    def or_tables(m: int, r: int) -> list[list[int]]:
+        rows = lanes(m, r)
+        held = []
+        for g in range(0, m, _CHUNK_BITS):
+            ors = [0]
+            for row in rows[g:g + _CHUNK_BITS]:  # ors[2^i + p] = ors[p] | row i, p < 2^i
+                ors += [row, *[v | row for v in ors[1:]]]
+            held.append(ors)
+        return held
+
     def walk(basis: list[int], start: int) -> int:
         rem = len(basis)
         col = binom[rem]
@@ -216,17 +238,20 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
         held = table[rem][start]
         if held is None:
             m = n - start
-            held = table[rem][start] = lanes(m, rem) if rem > 2 and _closes(m, rem, k, n) else []
+            shut = rem > 2 and _closes(m, rem, k, n)
+            held = table[rem][start] = or_tables(m, rem) if shut else []
         if held:
-            m = n - start
-            words: list[int] = []  # the nonzero words of the span
+            words: list[int] = []  # the nonzero words of the span, bit c for column start + c
             for w in basis:
-                text = format(w >> start, f"0{m}b").encode()
-                w = int.from_bytes(text.translate(_INDEPENDENT_FLAGS), "big")
+                w >>= start
                 words += [w, *[v ^ w for v in words]]
             block = (1 << size) - 1
-            for w in words:  # byte c of w is bit start + c of the word
-                block &= reduce(or_, compress(held, w.to_bytes(m, "little")), 0)
+            for w in words:
+                run = 0
+                for ors in held:
+                    run |= ors[w & _CHUNK_MASK]
+                    w >>= _CHUNK_BITS
+                block &= run
             return block
         if rem < 2:
             return basis[0] >> start if basis else 1
@@ -283,6 +308,7 @@ def brute_force_counts(
     *,
     budget: int = DEFAULT_BUDGET,
     collect_sets: bool = False,
+    set_limit: Optional[int] = None,
 ) -> BruteForceResult:
     """Classify every k-column subset of m by rank, as one bitmap.
 
@@ -297,6 +323,8 @@ def brute_force_counts(
         budget: refuse scans with more than this many subsets.
         collect_sets: also return the explicit subset lists (None in
             the result marks an uncollected list).
+        set_limit: with collect_sets, leave uncollected, and never
+            decode, each list longer than this.
 
     Raises:
         RankError: m is rank deficient (every subset would be singular).
@@ -317,7 +345,9 @@ def brute_force_counts(
     text = format(bitmap, "0%db" % total).encode()  # lowest rank last
     dep, ind = (
         tuple(compress(combinations(range(n), k), reversed(text.translate(flags))))
-        for flags in (_DEPENDENT_FLAGS, _INDEPENDENT_FLAGS)
+        if set_limit is None or count <= set_limit else None
+        for flags, count in ((_DEPENDENT_FLAGS, total - independent),
+                             (_INDEPENDENT_FLAGS, independent))
     )
     return BruteForceResult(total - independent, independent, dep, ind, bitmap)
 
@@ -554,6 +584,7 @@ def analyze(
     *,
     budget: int = DEFAULT_BUDGET,
     collect_sets: bool = False,
+    set_limit: Optional[int] = None,
 ) -> CountReport:
     """Count invertible and singular k x k column selections of m.
 
@@ -573,7 +604,8 @@ def analyze(
             all three to agree exactly (ConsistencyError).
 
     collect_sets makes the scan run even in auto mode (the lists cannot
-    come from the formula or the DP).  The methods run from one list in
+    come from the formula or the DP); a list longer than set_limit, if
+    given, is left uncollected.  The methods run from one list in
     that order, the formula when the condition holds outside oracle
     mode, then the scan, then the DP in both mode or when nothing else
     runs, and each D must equal the one before it.  The report's method
@@ -611,7 +643,8 @@ def analyze(
 
     def scanned() -> int:
         nonlocal scan
-        scan = brute_force_counts(m, budget=budget, collect_sets=collect_sets)
+        scan = brute_force_counts(m, budget=budget, collect_sets=collect_sets,
+                                  set_limit=set_limit)
         return scan.singular_count
 
     # the exact methods that run, in order, each with how a mismatch names its D
@@ -702,8 +735,10 @@ def _random_row_equivalent(m: BitMatrix, rng: random.Random) -> BitMatrix:
         return m
     work = list(m.bits)
     for _ in range(rng.randrange(k, 3 * k + 1)):
-        i, j = rng.sample(range(k), 2)
-        if rng.random() < 0.5:
+        draw = rng.randrange(2 * k * (k - 1))  # a swap or an add, row i, row j != i
+        i, j = divmod(draw >> 1, k - 1)
+        j += j >= i
+        if draw & 1:
             work[i], work[j] = work[j], work[i]
         else:
             work[i] ^= work[j]

@@ -151,13 +151,27 @@ def test_rank_deficient_exit(capsys, tmp_path):
 
 
 def test_count_set_limit_json(capsys):
-    # the CLI alone applies --set-limit: a list over it leaves no JSON key
+    # a list over --set-limit leaves no JSON key
     for argv in (("count", G74, "--list-sets"), ("sets", G74)):
         code, out, _ = run(capsys, *argv, "--set-limit", "10", "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert data["dependent_sets"] == D_SETS_74_1BASED
         assert "independent_sets" not in data
+
+
+@pytest.mark.parametrize("limit, decoded", [(None, 2), ("28", 2), ("10", 1), ("0", 0)])
+def test_set_limit_decodes_no_list_over_it(capsys, monkeypatch, limit, decoded):
+    # each decoded list walks one combinations(); D = 7 and I = 28 here
+    calls = []
+    combinations = counting.combinations
+    monkeypatch.setattr(counting, "combinations",
+                        lambda *a: calls.append(a) or combinations(*a))
+    for argv in (("sets", G74), ("count", G74, "--list-sets", "--mode", "oracle")):
+        calls.clear()
+        code, _, _ = run(capsys, *argv, *(() if limit is None else ("--set-limit", limit)))
+        assert code == 0
+        assert len(calls) == decoded
 
 
 def test_rank_deficient_primal_side_exit(capsys, tmp_path):

@@ -805,22 +805,26 @@ def test_scan_below_the_top_level_matches_naive_split(rows):
 
 @st.composite
 def closing_scan_cases(draw):
-    """(rows, cap): full-row-rank k x n rows, n <= 14, and a lane cap for the scan.
+    """(rows, cap, every): full-row-rank k x n rows, n <= 14, a lane cap for
+    the scan, and whether every state whose lanes fit the cap closes.
 
     The scan closes a state of rem words over m later columns when its
-    C(m, rem) lanes fit the lane cap, its masks fit the bit cap and
-    2^rem * m / 2 + rem * m^2 / (2 s) < C(m, rem - 1) (the rule above
-    ``counting._CLOSE_MAX_LANES``).  Below n = 13 no state passes the
-    cost test, so every state branches; at n = 13 and 14 the top state
-    passes it for k = 5..7 and 5..8, and no mask here nears the bit cap.
-    A lane cap under C(n, k) makes the top branch while a child that
-    fits can still close.
+    C(m, rem) lanes fit the lane cap, its OR tables fit the bit cap and
+    2 * lookups + (10 * entries + 2 * rem * (m - rem) * m) / s <
+    rem * C(m, rem - 1) (the rule above ``counting._CLOSE_MAX_LANES``).
+    Below n = 10 no state passes the cost test, so every state branches;
+    at n = 10, 11, 12, 13 and 14 the top state passes it for k = 5..6,
+    5..8, 5..9, 5..9 and 5..10, from n = 11 some deeper states pass it
+    too, and no table here nears the bit cap.  A lane cap under C(n, k)
+    makes the top branch while a child that fits can still close.  With
+    every set, the rule's cost test is skipped, so states close at every
+    m, whatever its chunks look like.
     Columns mix units, a pool that holds the zero column, and random ones.
     """
     n = draw(st.one_of(st.integers(1, 12), st.integers(13, 14)))
     k = min(n, draw(st.one_of(st.integers(1, n), st.integers(5, 8))))
     cap = draw(st.sampled_from([counting._CLOSE_MAX_LANES, 1 << 11, 1 << 9]))
-    return _draw_rows(draw, k, n), cap
+    return _draw_rows(draw, k, n), cap, draw(st.booleans())
 
 
 _CAP = counting._CLOSE_MAX_LANES
@@ -829,33 +833,51 @@ _UNITS_14 = [1 << i for i in range(14)]
 
 @given(closing_scan_cases())
 # C(14, 6) = 3003 lanes exceed a 2^11 lane cap, so the top branches; its child
-# (13, 5) fits, and 2^5 * 13 + 5 * 13^2 = 1261 < 2 * C(13, 4) = 1430 closes it
-@example((_rows_of([1, 2, 4, 8, 16, 32, 3, 0, 5, 3, 63, 12, 48, 0], 6), 1 << 11))
-# k = 2 and 3 never pass the cost test (2^k * m / 2 + k * m^2 / 2 > C(m, k - 1)):
+# (13, 5) fits, and 2 * 124 + 10 * 50 + 2 * 5 * 8 * 13 = 1788 < 5 * C(13, 4) = 3575
+# closes it
+@example((_rows_of([1, 2, 4, 8, 16, 32, 3, 0, 5, 3, 63, 12, 48, 0], 6), 1 << 11, False))
+# k = 2 never closes, and k = 3 fails the cost test at its top, its one state of
+# three words, 2 * 28 + 10 * 52 + 2 * 3 * 11 * 14 = 1500 > 3 * C(14, 2) = 273:
 # k = 2 branches to one-word leaves, k = 3 runs the three-word loop
-@example((_rows_of([1, 2, 3, 0, 2, 1, 3, 3, 0, 1, 2, 3, 1, 2], 2), _CAP))
-@example((_rows_of([1, 2, 4, 7, 0, 3, 5, 6, 7, 1, 0, 2, 4, 6], 3), _CAP))
-# k = 12 of 14: no state has m - rem > 2, and 2^rem * m / 2 > C(m, rem - 1) at
-# every one of them, so every state branches
-@example((_rows_of(_UNITS_14[:12] + [4095, 1365], 12), _CAP))
-@example((_rows_of([1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1], 1), _CAP))  # k = 1: one leaf
-# k = n = 13: one lane, and closing's 2^13 words never pay, so it branches
-@example((_rows_of(_UNITS_14[:13], 13), _CAP))
-# the top (13, 6) closes, 2^6 * 13 + 6 * 13^2 = 1846 < 2 * C(13, 5) = 2574,
-# over zero columns and repeated ones
-@example((_rows_of([1, 2, 4, 8, 16, 32, 0, 7, 7, 0, 33, 33, 7], 6), _CAP))
+@example((_rows_of([1, 2, 3, 0, 2, 1, 3, 3, 0, 1, 2, 3, 1, 2], 2), _CAP, False))
+@example((_rows_of([1, 2, 4, 7, 0, 3, 5, 6, 7, 1, 0, 2, 4, 6], 3), _CAP, False))
+# k = 12 of 14: no state has m - rem > 2, and at every one of them closing's
+# 2 * (2^rem - 1) * ceil(m / 4) and the tables' build over its s prefixes exceed
+# rem * C(m, rem - 1), so every state branches
+@example((_rows_of(_UNITS_14[:12] + [4095, 1365], 12), _CAP, False))
+@example((_rows_of([1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1], 1), _CAP, False))  # k = 1
+# k = n = 13: one lane, and closing's 2 * 8191 * 4 lookups never pay, so it branches
+@example((_rows_of(_UNITS_14[:13], 13), _CAP, False))
+# the top (13, 6) closes, 2 * 252 + 10 * 50 + 2 * 6 * 7 * 13 = 2096 < 6 * C(13, 5)
+# = 7722, over zero columns and repeated ones
+@example((_rows_of([1, 2, 4, 8, 16, 32, 0, 7, 7, 0, 33, 33, 7], 6), _CAP, False))
+# closed tops at the chunk edges, m = 3, 4, 5 and 9 with chunks of 4 columns: one
+# part chunk; one whole chunk; a chunk and a one-column tail, one word inside the
+# tail (column 4) and one (columns 0, 3, 4) over both; two chunks and a tail, one
+# word inside the middle chunk (columns 4..7) and one (0, 3, 5, 8) over all three
+@example((_rows_of([1, 3, 7], 3), _CAP, True))
+@example((_rows_of([1, 2, 4, 7], 3), _CAP, True))
+@example((_rows_of([1, 2, 4, 7, 9], 4), _CAP, True))
+@example((_rows_of([2, 4, 8, 6, 1, 3, 1, 9, 6], 4), _CAP, True))
 @settings(max_examples=40, deadline=None)
 def test_scan_on_both_sides_of_the_closing_rule_matches_naive_split(case):
-    rows, cap = case
+    rows, cap, every = case
     k, n = len(rows), len(rows[0])
     dep, ind = naive_subset_split(rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(counting, "_CLOSE_MAX_LANES", cap)
+        _close_under(patch, cap, every)
         res = brute_force_counts(BitMatrix.from_lists(rows), collect_sets=True)
     assert list(res.dependent_sets) == dep
     assert list(res.independent_sets) == ind
     assert res.bitmap == _lex_bitmap(set(ind), n, k)
     assert (res.singular_count, res.full_rank_count) == (len(dep), len(ind))
+
+
+def _close_under(patch, cap: int, every: bool) -> None:
+    """Set the scan's lane cap; with every, close each state whose lanes fit it."""
+    patch.setattr(counting, "_CLOSE_MAX_LANES", cap)
+    if every:
+        patch.setattr(counting, "_closes", lambda m, rem, k, n: comb(m, rem) <= cap)
 
 
 def test_closing_rule_examples_close_where_their_comments_say(monkeypatch):
@@ -874,29 +896,54 @@ def test_closing_rule_examples_close_where_their_comments_say(monkeypatch):
         monkeypatch.setattr(counting, "_CLOSE_MAX_LANES", cap)
         closed.append(set())
         next(counting._independent_bitmaps([[1 << i for i in range(k)]], k, n))
-    assert closed == [{(13, 5)}, set(), set(), set(), set(), set(), {(13, 6)},
-                      {(17, 11), (12, 7)}]
+    assert closed == [{(13, 5), (12, 5), (11, 5), (10, 5), (8, 4)}, set(), set(), set(),
+                      set(), set(), {(13, 6)}, {(17, 11), (16, 11), (15, 11), (12, 9), (8, 6)}]
+
+
+def test_every_closing_shape_keeps_its_tables_under_the_bit_cap(monkeypatch):
+    # a closed shape keeps one table of 2^width ORs per chunk of its m columns,
+    # each of C(m, rem) bits, for the s prefixes that can reach it
+    chunk = counting._CHUNK_BITS
+
+    def closing():
+        shapes = set()
+        for n in range(1, 25):
+            for k in range(3, n + 1):
+                for rem in range(3, k + 1):
+                    for m in range(rem, n - k + rem + 1):
+                        if counting._closes(m, rem, k, n):
+                            shapes.add((m, rem, k, n))
+        return shapes
+
+    capped = closing()
+    for m, rem, k, n in capped:
+        entries = sum(1 << min(chunk, m - g) for g in range(0, m, chunk))
+        prefixes = comb(n - m - 1, k - rem - 1) if rem < k else 1
+        assert entries * comb(m, rem) <= prefixes * counting._CLOSE_MAX_MASK_BITS
+    monkeypatch.setattr(counting, "_CLOSE_MAX_MASK_BITS", 1 << 40)
+    assert capped < closing()  # the cap refuses some shape on the grid
 
 
 @st.composite
 def closing_scan_batches(draw):
-    """(matrices, cap): one to four full-row-rank matrices of one k x n shape, n <= 14,
-    the first and the lane cap from ``closing_scan_cases``."""
-    rows, cap = draw(closing_scan_cases())
+    """(matrices, cap, every): one to four full-row-rank matrices of one k x n shape,
+    n <= 14, the first, the lane cap and every from ``closing_scan_cases``."""
+    rows, cap, every = draw(closing_scan_cases())
     k, n = len(rows), len(rows[0])
     more = [_draw_rows(draw, k, n) for _ in range(draw(st.integers(0, 3)))]
-    return [BitMatrix.from_lists(r) for r in [rows, *more]], cap
+    return [BitMatrix.from_lists(r) for r in [rows, *more]], cap, every
 
 
 @given(closing_scan_batches())
-# at 12 x 18 the top branches while (17, 11) and (12, 7) close under the real caps
-@example(([random_full_rank(12, 18, seed=s) for s in (3, 4, 5)], _CAP))
+# at 12 x 18 the top branches while (17, 11), (16, 11), (15, 11) and deeper
+# shapes close under the real caps
+@example(([random_full_rank(12, 18, seed=s) for s in (3, 4, 5)], _CAP, False))
 @settings(max_examples=30, deadline=None)
 def test_one_scan_call_over_several_row_sets_matches_one_call_per_set(case):
-    matrices, cap = case
+    matrices, cap, every = case
     k, n = matrices[0].rows, matrices[0].cols
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(counting, "_CLOSE_MAX_LANES", cap)
+        _close_under(patch, cap, every)
         alone = [brute_force_counts(m).bitmap for m in matrices]
         together = counting._independent_bitmaps((m.bits for m in matrices), k, n)
         assert list(together) == alone
@@ -914,9 +961,10 @@ def test_row_op_invariance_check_scans_only_its_base_through_brute_force_counts(
 
 
 def test_scan_closing_below_the_top_matches_the_dp_at_12x18():
-    # the smallest shape whose top branches under the real caps while deeper
-    # states close, (17, 11) and (12, 7); on its 6 x 18 dual the top's masks
-    # pass the bit cap, so the top branches there too and its children close
+    # the top's tables, 68 * C(18, 12) = 1,262,352 bits, pass the bit cap, so
+    # it branches while deeper states close, (17, 11), (16, 11), (15, 11) and
+    # more; on its 6 x 18 dual the top branches by the same count and its
+    # children close
     m = random_full_rank(12, 18, seed=3)
     assert brute_force_counts(m).full_rank_count == basis_count(m)
     assert complement_duality_check(systematic_form(m))
