@@ -38,22 +38,19 @@ from .counting import (
     DEFAULT_BUDGET,
     CountReport,
     analyze,
-    complement_duality_check,
-    row_op_invariance_check,
     systematic_counts,
     systematic_rows,
+    verify_checks,
 )
 from .errors import (
     BudgetError,
     ConditionError,
     ConsistencyError,
-    DimensionError,
     FormatError,
     Gf2CountError,
-    IndexSetError,
     RankError,
 )
-from .gf2 import BitMatrix, parse_matrix, permute_columns, systematic_form
+from .gf2 import BitMatrix, parse_matrix, systematic_form
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -271,23 +268,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
     sf = systematic_form(m)
-
     supplied = None if args.dual is None else _read_matrix(args.dual)
-    pairing = True
-    try:
-        # the scans run in systematic column order, so align a supplied
-        # dual to it; complement_duality_check judges the pair first
-        h = None if supplied is None else permute_columns(supplied, sf.col_perm)
-        duality = complement_duality_check(sf, h, budget=args.budget)
-    except (DimensionError, IndexSetError, ConsistencyError, RankError):
-        pairing = duality = False
-    checks = [("dual pairing", pairing), ("complement duality", duality)]
-
-    invariance = row_op_invariance_check(
-        m, args.trials, seed=args.seed, budget=args.budget
-    )
-    checks.append((f"row op invariance ({args.trials} trials)", invariance))
-
+    checks = verify_checks(m, sf, supplied, trials=args.trials, seed=args.seed,
+                           budget=args.budget)
     passed = all(ok for _, ok in checks)
     if args.format == "json":
         _emit_json({

@@ -20,15 +20,6 @@ from .gf2 import BitMatrix, SystematicForm, check_index_set, rank
 # each further dimension doubles that.
 DEFAULT_MAX_ENUM_DIM = 28
 
-# weight_enumerator slices once 2^k >= _SLICE_MIN_WORDS_PER_COORD * n.  A
-# sliced block costs about n big-int additions where the Gray walk costs
-# 2^k steps, so the crossover is a ratio, not a dimension.  Measured
-# Gray/sliced time (median of 6 random matrices, 2-vCPU Xeon, Python
-# 3.11): at 2^k/n = 21 it is 1.47-1.55 for k = 8, 9, 10 and 1.37 for
-# k = 11; at 2^k/n = 16 it is 1.04-1.24 for k = 7 to 11 (0.81 at k = 12,
-# n = 256); at 2^k/n = 13 it is 0.83-1.05.  Dimensions 3-6 (2^k/n <= 11)
-# run 1.3-5x faster on the Gray walk.
-_SLICE_MIN_WORDS_PER_COORD = 16
 # Message bits weighed per sliced block: n tables of 2^16 bits (8 KiB
 # each).  A dimension-20, length-36 code took 10.3 ms with 16 bits,
 # against 11.6 ms with 15, 10-11 ms with 17 and 11-13 ms with 18.
@@ -86,11 +77,10 @@ def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
     """Weight distribution of the row space of gen, by direct enumeration.
 
     Small codes walk all 2^k codewords in Gray-code order, so each step
-    is a single row XOR and a popcount.  Once 2^k is at least
-    _SLICE_MIN_WORDS_PER_COORD times the length, _sliced_counts weighs
-    the codewords 2^_SLICE_BITS at a time instead.  The tally is
-    order-independent, so the result is deterministic however the walk
-    is arranged.
+    is a single row XOR and a popcount.  Where ``_slices`` says so,
+    _sliced_counts weighs the codewords 2^_SLICE_BITS at a time instead.
+    The tally is order-independent, so the result is deterministic
+    however the walk is arranged.
 
     Args:
         gen: generator matrix with full row rank.
@@ -108,7 +98,7 @@ def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
             f"enumerating 2^{k} codewords exceeds the dimension guard "
             f"{DEFAULT_MAX_ENUM_DIM}"
         )
-    if 1 << k >= _SLICE_MIN_WORDS_PER_COORD * n:
+    if _slices(k, n):
         return WeightEnumerator(n, tuple(_sliced_counts(gen.bits, n)))
     counts = [0] * (n + 1)
     counts[0] = 1
@@ -118,6 +108,20 @@ def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
         word ^= rows_local[(step & -step).bit_length() - 1]
         counts[word.bit_count()] += 1
     return WeightEnumerator(n, tuple(counts))
+
+
+# weight_enumerator slices once 2^k >= n * max(16, n / 8) (``_slices``).  A
+# sliced block costs about n big-int additions where the Gray walk costs
+# 2^k steps, so the crossover is a ratio, not a dimension, and past n = 128
+# it grows with n.  Measured Gray/sliced time (median of 5 random matrices,
+# best of 3, 2-vCPU Xeon, Python 3.11) is 1 at n = 9.5, 19.5, 37 and 65 for
+# k = 7 to 10 (2^k/n = 13-16), at n = 125, 195, 260 and 480 for k = 11 to 14
+# (2^k/n = 16, 21, 31 and 34); 0.72 at k = 12, n = 256 and 0.87 at k = 13,
+# n = 320, both sliced under 2^k >= 16 n alone.  Dimensions 3-6
+# (2^k/n <= 11) run 1.3-5x faster on the Gray walk.
+def _slices(k: int, n: int) -> bool:
+    """The rule above: does a dimension-k, length-n code take the sliced path?"""
+    return 1 << k >= n * max(16, n >> 3)
 
 
 def _sliced_counts(rows: tuple[int, ...], n: int) -> list[int]:

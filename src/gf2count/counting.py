@@ -18,9 +18,9 @@ call returning its run of a lexicographic bitmap of the independent
 subsets as an int; where a cost rule says so it closes a state at once,
 as the AND over the subcode's nonzero words of the lanes that meet each
 word's support, read a chunk of columns at a time from tables of ORs.
-One call scans any number of k x n row sets; it decides each state
-shape, and builds a closing one's tables, once, in a table that ends
-with the call.  The DP restricts the subcode to the later columns,
+One scanner serves any number of k x n row sets, deciding each state
+shape and building a closing one's tables once, in a table that ends
+with the call that made it (for a ``verify``, ``verify_checks``).  The DP restricts the subcode to the later columns,
 counts the prefixes that share it together and finishes a subcode of
 at most three words in closed form.  Its one entry,
 ``_walk``, starts from ``gf2.reduced_basis`` and alone chooses the DP's
@@ -45,7 +45,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations, compress
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
 from .errors import (
@@ -53,6 +53,7 @@ from .errors import (
     ConditionError,
     ConsistencyError,
     DimensionError,
+    IndexSetError,
     RankError,
 )
 from .gf2 import (BitMatrix, SystematicForm, _insert, _reduce_in, permute_columns,
@@ -128,45 +129,57 @@ _INDEPENDENT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 _DEPENDENT_FLAGS = bytes.maketrans(b"01", b"\1\0")
 
 
-# The scan closes a state of rem words over m later columns when its
-# C(m, rem) lanes fit _CLOSE_MAX_LANES, its OR tables (2^width entries of
-# C(m, rem) bits per chunk of c = _CHUNK_BITS columns, E entries in all,
-# kept for the whole call) hold at most _CLOSE_MAX_MASK_BITS per state
-# that can share them, and 2 L + (10 E + 2 rem (m - rem) m) / s <
-# rem C(m, rem - 1), in units of 0.1 us measured per state (2-vCPU Xeon,
-# Python 3.11): closing costs 0.15-0.3 us for each of its L = (2^rem - 1)
-# ceil(m / c) lookups; building costs 1 us an entry and 0.4 us for each of
-# the about rem (m - rem) m / 2 ORs of the Pascal rows, shared by the s =
-# C(n - m - 1, k - rem - 1) prefixes that can reach the shape (1 at the
-# top); branching costs 0.07-0.11 rem us per independent (rem - 1)-prefix.
-# Scans closed at the top run 1.3-2.2x faster than branching it from
-# 6 x 14 to 9 x 16, and 0.95-1.9x at the first tops closed (5 x 10 to
-# 9 x 12).  Past the lane cap closing still wins (1.2-8x at 7e4-1.3e5
-# lanes, rem = 5..8), but each entry holds 2^16 bits or more: that cap
-# bounds memory.  c = 4 and the bit cap 2^20, which closes a 7 x 16 top
-# (64 x 11,440 bits), by verify_sets: op_s_p50 2.82 ms at c = 3, 2.62 at
-# 4, 2.44 at 5 with a cap of 2^21, where a 5 x 60 scan peaks at 12.8 MB,
-# not 8.2 (tracemalloc); op_s_p90 11.2 ms, not 6.2, at c = 4, cap 2^19.
-_CLOSE_MAX_LANES = 1 << 16
-_CLOSE_MAX_MASK_BITS = 1 << 20
-_CHUNK_BITS = 4
-_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+# The scan closes a state of rem words over m later columns at the cheapest
+# chunk width c <= _MAX_CHUNK_BITS whose OR tables (2^width entries of
+# C(m, rem) bits per chunk, E in all, kept with the scanner) fit
+# _CLOSE_MAX_TABLE_BITS, where closing beats branching and closing its kids.
+# In 0.05 us, with W = 2^rem - 1 words, q = ceil(m / c) lookups a word and
+# b = C(m, rem) >> 13: a closed state costs W (2 + 2 b + q (2 + b)); the
+# tables 4 (1 + b) E and 4 rem m for a share of the Pascal rows, once for the
+# s = scans C(n - m - 1, k - rem - 1) states that can reach the shape;
+# branching rem C(m, rem - 1) a state; closing the m - rem + 1 kids, at
+# widest chunks w = ceil(m / 8), at least (W >> 1) ((m - rem + 1) (2 + 2 w) +
+# b (2 + w)).  Measured (2-vCPU Xeon, Python 3.11): a closed top takes
+# 0.37-0.78 us a word at 1,001-3,060 lanes, 1.2 at 11,440 and 4.1-4.4 at
+# 125,970; branching 0.054-0.107 rem us per (rem - 1)-prefix (costed at
+# 0.05), less where kids close: 12 x 24's (19, 10) at 92,378 lanes closed in 3.6 ms a state,
+# its kids in 2.6, so the kids' term, not a lane cap, refuses it.  Shared by a
+# verify's 22 scans, 6 x 14 and 7 x 16 tops close at c = 7 and 8; verify
+# time against c = 4 per call was 0.64 and 0.65 at (8, 2^23), 0.63 and 0.76
+# at cap 2^22, 0.70 and 0.74 at c <= 6, 0.62 and 0.65 at (10, 2^24).  One
+# scan peaks at 14.9, 16.8 and 12.3 MB (tracemalloc) on 5 x 60, 8 x 30 and
+# 12 x 24; c = 4 tables under a 2^16 lane cap held 8.0, 7.1 and 4.4.
+_CLOSE_MAX_TABLE_BITS = 1 << 23
+_MAX_CHUNK_BITS = 8
 
 
-def _closes(m: int, rem: int, k: int, n: int) -> bool:
-    """The rule above: does a k x n scan close its states of rem words over m columns?"""
+def _closes(m: int, rem: int, k: int, n: int, scans: int) -> int:
+    """The rule above: the chunk width a k x n scanner of this many row sets
+    closes (m, rem) with, or 0 where it branches."""
+    states = scans * (comb(n - m - 1, k - rem - 1) if rem < k else 1)
+    best = states * rem * comb(m, rem - 1)  # branching
     size = comb(m, rem)
-    states = comb(n - m - 1, k - rem - 1) if rem < k else 1
-    whole, tail = divmod(m, _CHUNK_BITS)
-    entries = (whole << _CHUNK_BITS) + (1 << tail if tail else 0)
-    lookups = ((1 << rem) - 1) * (whole + (tail > 0))
-    return (size <= _CLOSE_MAX_LANES and entries * size <= states * _CLOSE_MAX_MASK_BITS
-            and 2 * lookups + (10 * entries + 2 * rem * (m - rem) * m) // states
-            < rem * comb(m, rem - 1))
+    bulk = size >> 13
+    words = (1 << rem) - 1
+    # closing the kids instead, at their widest chunks: half the words, as many lanes
+    wide = -(-m // _MAX_CHUNK_BITS)
+    kids = (words >> 1) * ((m - rem + 1) * (2 + 2 * wide) + bulk * (2 + wide))
+    width = 0
+    for c in range(1, min(m, _MAX_CHUNK_BITS) + 1):
+        whole, tail = divmod(m, c)
+        q = whole + (tail > 0)
+        entries = (whole << c) + (1 << tail if tail else 0)
+        if entries * size > _CLOSE_MAX_TABLE_BITS:
+            break
+        close = words * (2 + 2 * bulk + q * (2 + bulk))
+        cost = states * close + 4 * (1 + bulk) * entries + 4 * rem * m
+        if close < kids and cost < best:
+            best, width = cost, c
+    return width
 
 
-def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> Iterator[int]:
-    """Bitmap of the independent k-subsets of columns 0..n-1 for each set of k rows.
+def _scanner(k: int, n: int, scans: int = 1) -> Callable[[Sequence[int]], int]:
+    """Bitmap of the independent k-subsets of columns 0..n-1, for any set of k rows.
 
     Bit i is set exactly when the i-th k-subset in lexicographic order
     is independent.  A depth-first walk over column prefixes A keeps a
@@ -180,15 +193,16 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
     the AND over those words w of the OR of the masks H(m, rem)[c] over
     the later columns c in w, H(m, r)[c] the lanes of the lexicographic
     r-subsets of m columns that hold column c.  The masks come in chunks
-    of ``_CHUNK_BITS`` columns, each with a table of the ORs of every
-    subset of its masks (Four Russians), so a word, one XOR of a basis
-    word and an earlier word shifted down by start, is ORed in one lookup
-    per chunk.  The rule above ``_CLOSE_MAX_LANES`` (``_closes``) decides
-    a shape (m, rem) where the walk first reaches it, and a closing
+    of c columns, each with a table of the ORs of every subset of its
+    masks (Four Russians), so a word, one XOR of a basis word and an
+    earlier word shifted down by start, is ORed in one lookup per chunk.
+    The rule above ``_CLOSE_MAX_TABLE_BITS`` (``_closes``) decides a shape
+    (m, rem), and its width c, where a walk first reaches it, and a closing
     shape's tables are built then, one OR an entry, from H, whose rows
     come by Pascal's rule from rows of m - 1: H(m, r)[0] is the low
     C(m - 1, r - 1) lanes and H(m, r)[c] = H(m - 1, r - 1)[c - 1] |
-    H(m - 1, r)[c - 1] << C(m - 1, r - 1).
+    H(m - 1, r)[c - 1] << C(m - 1, r - 1).  Every row set scanned shares
+    that table; ``scans``, how many the caller means, weighs its build.
     Other states branch: column x extends A when a basis word has bit x,
     so the OR of the basis lists the next columns and no dependent prefix
     is visited; taking x clears bit x with the first word that has it
@@ -204,10 +218,9 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
     for _ in range(max(k, 2)):
         binom.append([0, *accumulate(binom[-1][:n])])
     pair = binom[2]
-    # one table for every row set of the call: table[rem][start] holds the OR tables
-    # of H(n - start, rem) if a state of rem words from column start closes, else [],
-    # and None before the walk first reaches one; table[~r][m - r] is the row H(m, r),
-    # where m - r <= n - k.
+    # table[rem][start] holds (c, the OR tables of H(n - start, rem) in chunks of c)
+    # if a state of rem words from column start closes, else (), and None before a
+    # walk first reaches one; table[~r][m - r] is the row H(m, r), where m - r <= n - k.
     table: list[list] = [[None] * (n + 1) for _ in range(k + 1)] + [
         [None] * (n - k + 1) for _ in range(k + 1)]
 
@@ -221,26 +234,28 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
                 a | b << low for a, b in zip(lanes(m - 1, r - 1), lanes(m - 1, r))]
         return row
 
-    def or_tables(m: int, r: int) -> list[list[int]]:
+    def or_tables(m: int, r: int, chunk: int) -> tuple[int, list[list[int]]]:
         rows = lanes(m, r)
         held = []
-        for g in range(0, m, _CHUNK_BITS):
+        for g in range(0, m, chunk):
             ors = [0]
-            for row in rows[g:g + _CHUNK_BITS]:  # ors[2^i + p] = ors[p] | row i, p < 2^i
+            for row in rows[g:g + chunk]:  # ors[2^i + p] = ors[p] | row i, p < 2^i
                 ors += [row, *[v | row for v in ors[1:]]]
             held.append(ors)
-        return held
+        return chunk, held
 
-    def walk(basis: list[int], start: int) -> int:
+    def walk(basis: Sequence[int], start: int) -> int:
         rem = len(basis)
         col = binom[rem]
         size = col[n - start]
         held = table[rem][start]
         if held is None:
             m = n - start
-            shut = rem > 2 and _closes(m, rem, k, n)
-            held = table[rem][start] = or_tables(m, rem) if shut else []
+            chunk = _closes(m, rem, k, n, scans) if rem > 2 else 0
+            held = table[rem][start] = or_tables(m, rem, chunk) if chunk else ()
         if held:
+            chunk, held = held
+            low_bits = (1 << chunk) - 1
             words: list[int] = []  # the nonzero words of the span, bit c for column start + c
             for w in basis:
                 w >>= start
@@ -249,8 +264,8 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
             for w in words:
                 run = 0
                 for ors in held:
-                    run |= ors[w & _CHUNK_MASK]
-                    w >>= _CHUNK_BITS
+                    run |= ors[w & low_bits]
+                    w >>= chunk
                 block &= run
             return block
         if rem < 2:
@@ -299,8 +314,7 @@ def _independent_bitmaps(row_sets: Iterable[Sequence[int]], k: int, n: int) -> I
             block |= walk(child, x + 1) << (size - col[n - x])
         return block
 
-    for rows in row_sets:
-        yield walk(list(rows), 0)
+    return lambda rows: walk(rows, 0)
 
 
 def brute_force_counts(
@@ -312,7 +326,7 @@ def brute_force_counts(
 ) -> BruteForceResult:
     """Classify every k-column subset of m by rank, as one bitmap.
 
-    A depth-first walk over column prefixes (``_independent_bitmaps``)
+    A depth-first walk over column prefixes (``_scanner``)
     marks the independent subsets in lexicographic order, closing some
     states as one AND over their subcode's nonzero words.  The counts are
     the bitmap's population and its complement, and collected lists are
@@ -331,14 +345,13 @@ def brute_force_counts(
         BudgetError: C(n, k) exceeds budget.
     """
     k, n = m.rows, m.cols
-    got = rank(m)
-    if got != k:
+    if (got := rank(m)) != k:
         raise RankError(f"matrix has rank {got}, full row rank {k} required")
     total = comb(n, k)
     if total > budget:
         raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
 
-    bitmap = next(_independent_bitmaps([m.bits], k, n))
+    bitmap = _scanner(k, n)(m.bits)
     independent = bitmap.bit_count()
     if not collect_sets:
         return BruteForceResult(total - independent, independent, None, None, bitmap)
@@ -707,6 +720,12 @@ def complement_duality_check(
         RankError: h is rank deficient.
         BudgetError: the two scans together exceed the budget.
     """
+    return _duality_holds(g, h, budget, _scanner(g.k, g.n, 1 + (2 * g.k == g.n)))
+
+
+def _duality_holds(g: SystematicForm, h: Optional[BitMatrix], budget: int,
+                   scan: Callable[[Sequence[int]], int]) -> bool:
+    """``complement_duality_check`` with g scanned by ``scan`` (and h too where n = 2k)."""
     k, n = g.k, g.n
     if h is None:
         h = dual_of(g)
@@ -723,26 +742,35 @@ def complement_duality_check(
             f"scanning both sides needs {comb(n, k) + comb(n, n - k)} subsets, "
             f"over budget {budget}"
         )
-    width = comb(n, k)
-    forward = format(brute_force_counts(g.matrix, budget=budget).bitmap, f"0{width}b")
-    return brute_force_counts(h, budget=budget).bitmap == int(forward[::-1], 2)
+    forward = format(scan(g.matrix.bits), f"0{comb(n, k)}b")
+    dual = scan(h.bits) if 2 * k == n else brute_force_counts(h, budget=budget).bitmap
+    return dual == int(forward[::-1], 2)
 
 
-def _random_row_equivalent(m: BitMatrix, rng: random.Random) -> BitMatrix:
-    """Apply a random invertible sequence of row swaps and row additions."""
-    k = m.rows
-    if k < 2:
-        return m
-    work = list(m.bits)
-    for _ in range(rng.randrange(k, 3 * k + 1)):
-        draw = rng.randrange(2 * k * (k - 1))  # a swap or an add, row i, row j != i
-        i, j = divmod(draw >> 1, k - 1)
-        j += j >= i
-        if draw & 1:
-            work[i], work[j] = work[j], work[i]
-        else:
-            work[i] ^= work[j]
-    return BitMatrix(m.rows, m.cols, tuple(work))
+def _row_equivalents(rows: Sequence[int], trials: int,
+                     rng: random.Random) -> Iterator[list[int]]:
+    """Rows of ``trials`` random row-equivalent variants, one after another.
+
+    A variant is k..3k operations, each uniform over the 2k(k - 1) swaps and
+    adds of a row j != i into row i, all drawn as one number read base
+    2k(k - 1), low digit first: digit d swaps (odd d) or adds pair d // 2.
+    """
+    k = len(rows)
+    ops = 2 * k * (k - 1)
+    for _ in range(trials):
+        work = list(rows)
+        if k > 1:
+            steps = rng.randrange(k, 3 * k + 1)
+            seq = rng.randrange(ops ** steps)
+            for _ in range(steps):
+                seq, d = divmod(seq, ops)
+                i, j = divmod(d >> 1, k - 1)
+                j += j >= i
+                if d & 1:
+                    work[i], work[j] = work[j], work[i]
+                else:
+                    work[i] ^= work[j]
+        yield work
 
 
 def row_op_invariance_check(
@@ -756,9 +784,9 @@ def row_op_invariance_check(
 
     Row operations change the matrix but not which column subsets are
     dependent, so every variant must reproduce the base scan exactly.
-    The base is scanned by ``brute_force_counts``, which checks its
-    rank.  The variants are drawn one at a time and stream through one
-    call of ``_independent_bitmaps``; the first mismatch ends the check.
+    The base and the variants, drawn one at a time by
+    ``_row_equivalents``, stream through one ``_scanner``; the first
+    mismatch ends the check.
 
     Args:
         m: k x n matrix with full row rank.
@@ -766,8 +794,16 @@ def row_op_invariance_check(
         seed: seeds the op-sequence generator; same seed, same variants.
 
     Raises:
+        DimensionError: trials is negative.
         BudgetError: (trials + 1) scans would exceed the budget.
+        RankError: m is rank deficient.
     """
+    return _invariance_holds(m, trials, seed, budget, _scanner(m.rows, m.cols, trials + 1))
+
+
+def _invariance_holds(m: BitMatrix, trials: int, seed: int, budget: int,
+                      scan: Callable[[Sequence[int]], int]) -> bool:
+    """``row_op_invariance_check`` with every scan made by ``scan``, a k x n scanner."""
     if trials < 0:
         raise DimensionError(f"negative trial count {trials}")
     k, n = m.rows, m.cols
@@ -775,7 +811,39 @@ def row_op_invariance_check(
         raise BudgetError(
             f"{trials + 1} scans of {comb(n, k)} subsets exceed budget {budget}"
         )
+    if (got := rank(m)) != k:
+        raise RankError(f"matrix has rank {got}, full row rank {k} required")
+    base = scan(m.bits)
     rng = random.Random(seed)
-    base = brute_force_counts(m, budget=budget).bitmap
-    variants = (_random_row_equivalent(m, rng).bits for _ in range(trials))
-    return all(bitmap == base for bitmap in _independent_bitmaps(variants, k, n))
+    return all(scan(rows) == base for rows in _row_equivalents(m.bits, trials, rng))
+
+
+def verify_checks(
+    m: BitMatrix,
+    g: SystematicForm,
+    h: Optional[BitMatrix] = None,
+    *,
+    trials: int = 20,
+    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+) -> list[tuple[str, bool]]:
+    """``verify``'s checks of m, whose systematic form is g, as (name, passed) pairs.
+
+    ``complement_duality_check(g, h)``, h in m's column order or derived,
+    fails the dual pairing too when it rejects h; then comes
+    ``row_op_invariance_check(m, trials, seed=seed)``.  Every k x n row set
+    (g, m and the variants, and h where n = 2k) goes through one scanner,
+    so each shape's tables are built once.  Raises BudgetError as they do.
+    """
+    k, n = g.k, g.n
+    scan = _scanner(k, n, trials + 2 + (2 * k == n))
+    try:
+        # the scans run in systematic column order, so align a supplied dual to it
+        aligned = None if h is None else permute_columns(h, g.col_perm)
+        duality = _duality_holds(g, aligned, budget, scan)
+        pairing = True
+    except (DimensionError, IndexSetError, ConsistencyError, RankError):
+        pairing = duality = False
+    return [("dual pairing", pairing), ("complement duality", duality),
+            (f"row op invariance ({trials} trials)",
+             _invariance_holds(m, trials, seed, budget, scan))]

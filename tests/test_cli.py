@@ -597,6 +597,26 @@ def test_verify_dual_of_wrong_shape_fails_pairing(capsys, tmp_path):
     assert "overall: FAIL" in out
 
 
+def test_verify_decides_each_shape_once(capsys, tmp_path, monkeypatch):
+    # one verify streams g, m and the 20 variants through one 6 x 14 table and the
+    # dual through one 8 x 14 table, so the rule meets each shape once; a table per
+    # check or per scan call would decide a 6 x 14 shape two or three times
+    p = tmp_path / "m.txt"
+    p.write_text(str(random_full_rank(6, 14, seed=2)) + "\n")
+    decided = []
+    closes = counting._closes
+    monkeypatch.setattr(counting, "_closes",
+                        lambda m, rem, k, n, scans: decided.append((m, rem, k, n)) or
+                        closes(m, rem, k, n, scans))
+    assert run(capsys, "verify", str(p))[0] == 0
+    once = sorted(decided)
+    assert {(k, n) for _, _, k, n in once} == {(6, 14), (8, 14)}
+    assert len(set(once)) == len(once)
+    # the tables go with the command: a second verify decides each shape again
+    assert run(capsys, "verify", str(p))[0] == 0
+    assert sorted(decided) == sorted(once * 2)
+
+
 def test_count_json_byte_stable(capsys):
     code1, out1, _ = run(capsys, "count", G74, "--list-sets", "--format", "json")
     code2, out2, _ = run(capsys, "count", G74, "--list-sets", "--format", "json")

@@ -95,7 +95,18 @@ def test_weight_enumerator_matches_naive(m):
 
 
 def _is_sliced(m):
-    return 1 << m.rows >= codes._SLICE_MIN_WORDS_PER_COORD * m.cols
+    return codes._slices(m.rows, m.cols)
+
+
+def test_slicing_rule_keeps_the_gray_walk_where_it_was_measured_faster():
+    # Gray/sliced time at these shapes (codes._slices' comment): under 1 where the
+    # Gray walk stays, over 1 where the sliced path does
+    assert not any(codes._slices(k, n) for k, n in [(12, 224), (12, 256), (13, 288), (13, 320),
+                                                     (10, 96), (9, 48), (7, 12)])
+    assert all(codes._slices(k, n) for k, n in [(12, 160), (13, 192), (13, 224), (11, 96),
+                                                 (14, 320), (9, 22), (7, 8)])
+    # weights --dual's dimension 18-20 duals at length 34-36 stay sliced
+    assert all(codes._slices(k, n) for k in (18, 19, 20) for n in (34, 35, 36))
 
 
 @given(full_rank_matrices(min_rows=10, max_rows=13, max_cols=21))
@@ -127,7 +138,7 @@ def test_small_sliced_blocks_match_naive(m, block_bits):
     # high message bits runs across many blocks
     counts = naive_weight_counts(row_lists(m))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "_SLICE_MIN_WORDS_PER_COORD", 0)
+        mp.setattr(codes, "_slices", lambda k, n: True)
         mp.setattr(codes, "_SLICE_BITS", block_bits)
         assert list(weight_enumerator(m).coeffs) == counts
 

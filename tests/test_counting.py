@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -631,8 +632,8 @@ def test_connectivity_order_is_a_row_invariant_permutation(rows, seed):
 
     order = order_of(m)
     assert sorted(order) == list(range(n))
-    variant = counting._random_row_equivalent(m, random.Random(seed))
-    assert order_of(variant) == order
+    variant = next(counting._row_equivalents(m.bits, 1, random.Random(seed)))
+    assert order_of(BitMatrix(m.rows, n, tuple(variant))) == order
     ordered = permute_columns(m, sorted(range(n), key=order.__getitem__))
     assert basis_count(ordered) == len(naive_subset_split(rows)[1])
 
@@ -805,67 +806,75 @@ def test_scan_below_the_top_level_matches_naive_split(rows):
 
 @st.composite
 def closing_scan_cases(draw):
-    """(rows, cap, every): full-row-rank k x n rows, n <= 14, a lane cap for
-    the scan, and whether every state whose lanes fit the cap closes.
+    """(rows, cap, width): full-row-rank k x n rows, n <= 14, a cap on the
+    bits of one shape's OR tables, and a chunk width, 0 for the scan's rule.
 
-    The scan closes a state of rem words over m later columns when its
-    C(m, rem) lanes fit the lane cap, its OR tables fit the bit cap and
-    2 * lookups + (10 * entries + 2 * rem * (m - rem) * m) / s <
-    rem * C(m, rem - 1) (the rule above ``counting._CLOSE_MAX_LANES``).
-    Below n = 10 no state passes the cost test, so every state branches;
-    at n = 10, 11, 12, 13 and 14 the top state passes it for k = 5..6,
-    5..8, 5..9, 5..9 and 5..10, from n = 11 some deeper states pass it
-    too, and no table here nears the bit cap.  A lane cap under C(n, k)
-    makes the top branch while a child that fits can still close.  With
-    every set, the rule's cost test is skipped, so states close at every
-    m, whatever its chunks look like.
+    The rule (above ``counting._CLOSE_MAX_TABLE_BITS``) closes a state of
+    rem words over m later columns at the cheapest width c <= 8 whose
+    tables fit the cap, when closing beats branching and beats closing
+    its kids.  Below n = 9 no state passes it, so every state branches;
+    from n = 9 the tops of k = 4 or 5 to n - 4 close, at widths 3 to 7,
+    as do some deeper states, and no table here nears the real cap.  A cap of 2^16
+    or 2^12 bits makes a top branch while a smaller child can still
+    close.  With a width, the rule is skipped: every state of three or
+    more words whose tables fit the cap closes at that width, whatever
+    its chunks look like.
     Columns mix units, a pool that holds the zero column, and random ones.
     """
     n = draw(st.one_of(st.integers(1, 12), st.integers(13, 14)))
     k = min(n, draw(st.one_of(st.integers(1, n), st.integers(5, 8))))
-    cap = draw(st.sampled_from([counting._CLOSE_MAX_LANES, 1 << 11, 1 << 9]))
-    return _draw_rows(draw, k, n), cap, draw(st.booleans())
+    cap = draw(st.sampled_from([counting._CLOSE_MAX_TABLE_BITS, 1 << 16, 1 << 12]))
+    width = draw(st.one_of(st.just(0), st.integers(1, counting._MAX_CHUNK_BITS)))
+    return _draw_rows(draw, k, n), cap, width
 
 
-_CAP = counting._CLOSE_MAX_LANES
+_CAP = counting._CLOSE_MAX_TABLE_BITS
 _UNITS_14 = [1 << i for i in range(14)]
 
 
+def _table_bits(m: int, rem: int, width: int) -> int:
+    """Bits of the OR tables of a shape: 2^w entries of C(m, rem) bits per chunk of w columns."""
+    return sum(1 << min(width, m - g) for g in range(0, m, width)) * comb(m, rem)
+
+
 @given(closing_scan_cases())
-# C(14, 6) = 3003 lanes exceed a 2^11 lane cap, so the top branches; its child
-# (13, 5) fits, and 2 * 124 + 10 * 50 + 2 * 5 * 8 * 13 = 1788 < 5 * C(13, 4) = 3575
-# closes it
-@example((_rows_of([1, 2, 4, 8, 16, 32, 3, 0, 5, 3, 63, 12, 48, 0], 6), 1 << 11, False))
-# k = 2 never closes, and k = 3 fails the cost test at its top, its one state of
-# three words, 2 * 28 + 10 * 52 + 2 * 3 * 11 * 14 = 1500 > 3 * C(14, 2) = 273:
-# k = 2 branches to one-word leaves, k = 3 runs the three-word loop
-@example((_rows_of([1, 2, 3, 0, 2, 1, 3, 3, 0, 1, 2, 3, 1, 2], 2), _CAP, False))
-@example((_rows_of([1, 2, 4, 7, 0, 3, 5, 6, 7, 1, 0, 2, 4, 6], 3), _CAP, False))
-# k = 12 of 14: no state has m - rem > 2, and at every one of them closing's
-# 2 * (2^rem - 1) * ceil(m / 4) and the tables' build over its s prefixes exceed
-# rem * C(m, rem - 1), so every state branches
-@example((_rows_of(_UNITS_14[:12] + [4095, 1365], 12), _CAP, False))
-@example((_rows_of([1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1], 1), _CAP, False))  # k = 1
-# k = n = 13: one lane, and closing's 2 * 8191 * 4 lookups never pay, so it branches
-@example((_rows_of(_UNITS_14[:13], 13), _CAP, False))
-# the top (13, 6) closes, 2 * 252 + 10 * 50 + 2 * 6 * 7 * 13 = 2096 < 6 * C(13, 5)
-# = 7722, over zero columns and repeated ones
-@example((_rows_of([1, 2, 4, 8, 16, 32, 0, 7, 7, 0, 33, 33, 7], 6), _CAP, False))
+# every width's tables of the top, C(14, 6) = 3003 lanes, exceed 2^16 bits (28 x 3003 at
+# widths 1 and 2), so it branches; its child (13, 5) fits at widths up to 4 and closes
+# at 3: 31 words x (2 + 2 x 5 lookups) = 372 < 810 for its kids, and 372 + 4 x 34
+# entries + 4 x 5 x 13 = 768 < 5 x C(13, 4) = 3575 for branching
+@example((_rows_of([1, 2, 4, 8, 16, 32, 3, 0, 5, 3, 63, 12, 48, 0], 6), 1 << 16, 0))
+# k = 2 never closes, and k = 3 fails the rule at its top, its one state of three words:
+# its cheapest close, 392 at width 2, exceeds 3 x C(14, 2) = 273: k = 2 branches to
+# one-word leaves, k = 3 runs the three-word loop
+@example((_rows_of([1, 2, 3, 0, 2, 1, 3, 3, 0, 1, 2, 3, 1, 2], 2), _CAP, 0))
+@example((_rows_of([1, 2, 4, 7, 0, 3, 5, 6, 7, 1, 0, 2, 4, 6], 3), _CAP, 0))
+# k = 12 of 14: no state has m - rem > 2, and at every one of them closing's 2^rem - 1
+# words cost more than branching, so every state branches
+@example((_rows_of(_UNITS_14[:12] + [4095, 1365], 12), _CAP, 0))
+@example((_rows_of([1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1], 1), _CAP, 0))  # k = 1
+# k = n = 13: one lane, and closing's 8191 words never pay, so it branches
+@example((_rows_of(_UNITS_14[:13], 13), _CAP, 0))
+# the top (13, 6) closes at width 5, 63 words x (2 + 2 x 3) + 4 x 72 + 4 x 6 x 13 = 1104 <
+# 6 x C(13, 5) = 7722, over zero columns and repeated ones
+@example((_rows_of([1, 2, 4, 8, 16, 32, 0, 7, 7, 0, 33, 33, 7], 6), _CAP, 0))
 # closed tops at the chunk edges, m = 3, 4, 5 and 9 with chunks of 4 columns: one
 # part chunk; one whole chunk; a chunk and a one-column tail, one word inside the
 # tail (column 4) and one (columns 0, 3, 4) over both; two chunks and a tail, one
 # word inside the middle chunk (columns 4..7) and one (0, 3, 5, 8) over all three
-@example((_rows_of([1, 3, 7], 3), _CAP, True))
-@example((_rows_of([1, 2, 4, 7], 3), _CAP, True))
-@example((_rows_of([1, 2, 4, 7, 9], 4), _CAP, True))
-@example((_rows_of([2, 4, 8, 6, 1, 3, 1, 9, 6], 4), _CAP, True))
+@example((_rows_of([1, 3, 7], 3), _CAP, 4))
+@example((_rows_of([1, 2, 4, 7], 3), _CAP, 4))
+@example((_rows_of([1, 2, 4, 7, 9], 4), _CAP, 4))
+@example((_rows_of([2, 4, 8, 6, 1, 3, 1, 9, 6], 4), _CAP, 4))
+# chunks of one column and of eight, the widest, over a 9-column top
+@example((_rows_of([2, 4, 8, 6, 1, 3, 1, 9, 6], 4), _CAP, 1))
+@example((_rows_of([2, 4, 8, 6, 1, 3, 1, 9, 6], 4), _CAP, 8))
 @settings(max_examples=40, deadline=None)
 def test_scan_on_both_sides_of_the_closing_rule_matches_naive_split(case):
-    rows, cap, every = case
+    rows, cap, width = case
     k, n = len(rows), len(rows[0])
     dep, ind = naive_subset_split(rows)
     with pytest.MonkeyPatch.context() as patch:
-        _close_under(patch, cap, every)
+        _close_under(patch, cap, width)
         res = brute_force_counts(BitMatrix.from_lists(rows), collect_sets=True)
     assert list(res.dependent_sets) == dep
     assert list(res.independent_sets) == ind
@@ -873,98 +882,182 @@ def test_scan_on_both_sides_of_the_closing_rule_matches_naive_split(case):
     assert (res.singular_count, res.full_rank_count) == (len(dep), len(ind))
 
 
-def _close_under(patch, cap: int, every: bool) -> None:
-    """Set the scan's lane cap; with every, close each state whose lanes fit it."""
-    patch.setattr(counting, "_CLOSE_MAX_LANES", cap)
-    if every:
-        patch.setattr(counting, "_closes", lambda m, rem, k, n: comb(m, rem) <= cap)
+def _close_under(patch, cap: int, width: int) -> None:
+    """Cap the scan's table bits; with a width, close each state whose tables fit at it."""
+    patch.setattr(counting, "_CLOSE_MAX_TABLE_BITS", cap)
+    if width:
+        patch.setattr(counting, "_closes", lambda m, rem, k, n, scans: (
+            width if _table_bits(m, rem, width) <= cap else 0))
 
 
 def test_closing_rule_examples_close_where_their_comments_say(monkeypatch):
     closed = []
     closes = counting._closes
 
-    def record(m, rem, k, n):
-        shut = closes(m, rem, k, n)
-        if shut:
-            closed[-1].add((m, rem))
-        return shut
+    def record(m, rem, k, n, scans):
+        width = closes(m, rem, k, n, scans)
+        if width:
+            closed[-1].add((m, rem, width))
+        return width
 
     monkeypatch.setattr(counting, "_closes", record)
-    for k, n, cap in [(6, 14, 1 << 11), (2, 14, _CAP), (3, 14, _CAP), (12, 14, _CAP),
-                      (1, 14, _CAP), (13, 13, _CAP), (6, 13, _CAP), (12, 18, _CAP)]:
-        monkeypatch.setattr(counting, "_CLOSE_MAX_LANES", cap)
+    for k, n, cap in [(6, 14, 1 << 16), (2, 14, _CAP), (3, 14, _CAP), (12, 14, _CAP),
+                      (1, 14, _CAP), (13, 13, _CAP), (6, 13, _CAP), (12, 18, 1 << 19)]:
+        monkeypatch.setattr(counting, "_CLOSE_MAX_TABLE_BITS", cap)
         closed.append(set())
-        next(counting._independent_bitmaps([[1 << i for i in range(k)]], k, n))
-    assert closed == [{(13, 5), (12, 5), (11, 5), (10, 5), (8, 4)}, set(), set(), set(),
-                      set(), set(), {(13, 6)}, {(17, 11), (16, 11), (15, 11), (12, 9), (8, 6)}]
+        counting._scanner(k, n)([1 << i for i in range(k)])
+    assert closed == [{(13, 5, 3), (12, 5, 3), (11, 5, 4), (10, 5, 4), (9, 5, 3)},
+                      set(), set(), set(), set(), set(), {(13, 6, 5)},
+                      {(16, 11, 4), (16, 10, 4), (15, 11, 8), (15, 10, 5), (14, 10, 7),
+                       (13, 10, 7), (8, 6, 8)}]
 
 
 def test_every_closing_shape_keeps_its_tables_under_the_bit_cap(monkeypatch):
     # a closed shape keeps one table of 2^width ORs per chunk of its m columns,
-    # each of C(m, rem) bits, for the s prefixes that can reach it
-    chunk = counting._CHUNK_BITS
-
+    # each of C(m, rem) bits, for as long as the scanner
     def closing():
         shapes = set()
         for n in range(1, 25):
             for k in range(3, n + 1):
                 for rem in range(3, k + 1):
                     for m in range(rem, n - k + rem + 1):
-                        if counting._closes(m, rem, k, n):
-                            shapes.add((m, rem, k, n))
+                        for scans in (1, 22):
+                            width = counting._closes(m, rem, k, n, scans)
+                            if width:
+                                shapes.add((m, rem, k, n, scans, width))
         return shapes
 
     capped = closing()
-    for m, rem, k, n in capped:
-        entries = sum(1 << min(chunk, m - g) for g in range(0, m, chunk))
-        prefixes = comb(n - m - 1, k - rem - 1) if rem < k else 1
-        assert entries * comb(m, rem) <= prefixes * counting._CLOSE_MAX_MASK_BITS
-    monkeypatch.setattr(counting, "_CLOSE_MAX_MASK_BITS", 1 << 40)
-    assert capped < closing()  # the cap refuses some shape on the grid
+    for m, rem, k, n, scans, width in capped:
+        assert 1 <= width <= counting._MAX_CHUNK_BITS
+        assert _table_bits(m, rem, width) <= counting._CLOSE_MAX_TABLE_BITS
+    # a table shared by more scans takes chunks at least as wide
+    assert all(counting._closes(m, rem, k, n, 22) >= width
+               for m, rem, k, n, scans, width in capped if scans == 1)
+    monkeypatch.setattr(counting, "_CLOSE_MAX_TABLE_BITS", 1 << 40)
+    lifted = closing()
+    assert {s[:5] for s in capped} < {s[:5] for s in lifted}  # the cap refuses some shape
 
 
 @st.composite
 def closing_scan_batches(draw):
-    """(matrices, cap, every): one to four full-row-rank matrices of one k x n shape,
-    n <= 14, the first, the lane cap and every from ``closing_scan_cases``."""
-    rows, cap, every = draw(closing_scan_cases())
+    """(matrices, cap, width): one to four full-row-rank matrices of one k x n shape,
+    n <= 14, the first, the cap and the width from ``closing_scan_cases``."""
+    rows, cap, width = draw(closing_scan_cases())
     k, n = len(rows), len(rows[0])
     more = [_draw_rows(draw, k, n) for _ in range(draw(st.integers(0, 3)))]
-    return [BitMatrix.from_lists(r) for r in [rows, *more]], cap, every
+    return [BitMatrix.from_lists(r) for r in [rows, *more]], cap, width
 
 
 @given(closing_scan_batches())
-# at 12 x 18 the top branches while (17, 11), (16, 11), (15, 11) and deeper
-# shapes close under the real caps
-@example(([random_full_rank(12, 18, seed=s) for s in (3, 4, 5)], _CAP, False))
+# at 12 x 18 under a 2^19 cap the top branches while (16, 11), (16, 10), (15, 11) and
+# deeper shapes close
+@example(([random_full_rank(12, 18, seed=s) for s in (3, 4, 5)], 1 << 19, 0))
 @settings(max_examples=30, deadline=None)
 def test_one_scan_call_over_several_row_sets_matches_one_call_per_set(case):
-    matrices, cap, every = case
+    matrices, cap, width = case
     k, n = matrices[0].rows, matrices[0].cols
     with pytest.MonkeyPatch.context() as patch:
-        _close_under(patch, cap, every)
+        _close_under(patch, cap, width)
         alone = [brute_force_counts(m).bitmap for m in matrices]
-        together = counting._independent_bitmaps((m.bits for m in matrices), k, n)
-        assert list(together) == alone
-        assert list(counting._independent_bitmaps([], k, n)) == []
+        scan = counting._scanner(k, n, len(matrices))
+        assert [scan(m.bits) for m in matrices] == alone
 
 
-def test_row_op_invariance_check_scans_only_its_base_through_brute_force_counts(
-        g74, monkeypatch):
-    scanned = []
-    scan = counting.brute_force_counts
-    monkeypatch.setattr(counting, "brute_force_counts",
-                        lambda m, **kwargs: scanned.append(m) or scan(m, **kwargs))
+def test_row_op_invariance_check_decides_each_shape_once(g74, monkeypatch):
+    decided = []
+    closes = counting._closes
+    monkeypatch.setattr(counting, "_closes",
+                        lambda *shape: decided.append(shape) or closes(*shape))
+    scanners = []
+    scanner = counting._scanner
+    monkeypatch.setattr(counting, "_scanner",
+                        lambda *args: scanners.append(args) or scanner(*args))
     assert row_op_invariance_check(g74, trials=20)
-    assert scanned == [g74]
+    # one table for the base and the 20 variants, told of all 21
+    assert scanners == [(4, 7, 21)]
+    assert decided and len(set(decided)) == len(decided)
+    assert {scans for *_, scans in decided} == {21}
 
 
-def test_scan_closing_below_the_top_matches_the_dp_at_12x18():
-    # the top's tables, 68 * C(18, 12) = 1,262,352 bits, pass the bit cap, so
-    # it branches while deeper states close, (17, 11), (16, 11), (15, 11) and
-    # more; on its 6 x 18 dual the top branches by the same count and its
-    # children close
+# the ordered pairs (i, j != i) at index d // 2 of a row operation's digit d
+_PAIRS = {2: [(0, 1), (1, 0)], 3: [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]}
+
+
+class _StubRng:
+    """Answers randrange(a, b) with steps and randrange(a) with seq, recording each call."""
+
+    def __init__(self, steps: int, seq: int) -> None:
+        self.steps, self.seq, self.calls = steps, seq, []
+
+    def randrange(self, a: int, b: Optional[int] = None) -> int:
+        self.calls.append((a, b))
+        return self.seq if b is None else self.steps
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_row_op_draw_decodes_each_digit_as_one_row_operation(k):
+    # one draw picks the whole sequence, uniform over base-2k(k - 1) numbers of
+    # steps digits, so the digits are independent and each uniform over the
+    # operations: digit d adds row j into row i, or swaps them for odd d,
+    # (i, j) = _PAIRS[k][d // 2]
+    rows = [0b1 << i | 0b1000 << i for i in range(k)]
+    ops = 2 * k * (k - 1)
+    for steps in (k, 3 * k):
+        for place in range(steps):
+            for d in range(ops):
+                rng = _StubRng(steps, d * ops ** place)
+                (variant,) = counting._row_equivalents(rows, 1, rng)
+                want = list(rows)
+                for digit in [0] * place + [d] + [0] * (steps - place - 1):
+                    i, j = _PAIRS[k][digit // 2]
+                    if digit % 2:
+                        want[i], want[j] = want[j], want[i]
+                    else:
+                        want[i] ^= want[j]
+                assert variant == want
+                # k..3k operations, then one draw over every sequence of that many
+                assert rng.calls == [(k, 3 * k + 1), (ops ** steps, None)]
+
+
+def test_row_op_draws_repeat_with_their_seed(g74):
+    def variants(seed):
+        return list(counting._row_equivalents(g74.bits, 20, random.Random(seed)))
+
+    assert variants(5) == variants(5)
+    assert variants(5) != variants(6)
+    assert all(rank(BitMatrix(4, 7, tuple(v))) == 4 for v in variants(5))
+    # one row needs no operation and draws nothing
+    assert list(counting._row_equivalents((5,), 2, _StubRng(0, 0))) == [[5], [5]]
+
+
+def test_verify_checks_match_the_two_public_checks(h74):
+    for m, h in [(random_full_rank(6, 14, seed=1), None), (random_full_rank(7, 14, seed=2), None),
+                 (load_fixture("g_7_4.txt"), None), (load_fixture("g_7_4.txt"), h74),
+                 (random_full_rank(1, 5, seed=3), None), (random_full_rank(5, 5, seed=4), None)]:
+        sf = systematic_form(m)
+        aligned = None if h is None else permute_columns(h, sf.col_perm)
+        assert counting.verify_checks(m, sf, h, trials=4, seed=9) == [
+            ("dual pairing", True),
+            ("complement duality", complement_duality_check(sf, aligned)),
+            ("row op invariance (4 trials)", row_op_invariance_check(m, 4, seed=9)),
+        ]
+    bad = BitMatrix(h74.rows, 7, (h74.bits[0] ^ 1,) + h74.bits[1:])
+    g = load_fixture("g_7_4.txt")
+    assert counting.verify_checks(g, systematic_form(g), bad, trials=2)[:2] == [
+        ("dual pairing", False), ("complement duality", False)]
+    with pytest.raises(BudgetError, match="scanning both sides"):
+        counting.verify_checks(g, systematic_form(g), budget=60)
+    with pytest.raises(BudgetError, match="21 scans"):
+        counting.verify_checks(g, systematic_form(g), budget=100)
+
+
+def test_scan_closing_below_the_top_matches_the_dp_at_12x18(monkeypatch):
+    # under a 2^19 cap the top's tables, at least 36 * C(18, 12) = 668,304 bits,
+    # do not fit, so it branches while deeper states close, (16, 11), (16, 10),
+    # (15, 11) and more; on its 6 x 18 dual the top branches by the same count
+    # and its children close, (17, 5) to (9, 5) and (7, 4)
+    monkeypatch.setattr(counting, "_CLOSE_MAX_TABLE_BITS", 1 << 19)
     m = random_full_rank(12, 18, seed=3)
     assert brute_force_counts(m).full_rank_count == basis_count(m)
     assert complement_duality_check(systematic_form(m))
@@ -977,22 +1070,21 @@ def test_row_op_invariance_detects_a_changed_family(g74, monkeypatch):
     # counts, or nothing, would still pass
     swap = (3, 1, 2, 0, 4, 5, 6)
     assert (1, 2, 3, 4) not in D_SETS_74
-    monkeypatch.setattr(
-        counting, "_random_row_equivalent", lambda m, rng: permute_columns(m, swap)
-    )
+    monkeypatch.setattr(counting, "_row_equivalents", lambda rows, trials, rng: (
+        permute_columns(BitMatrix(len(rows), 7, rows), swap).bits for _ in range(trials)))
     assert not row_op_invariance_check(g74, trials=1)
 
 
 def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch):
-    scan = counting.brute_force_counts
+    scanner = counting._scanner
 
-    def flip_on_dual(m, **kwargs):
-        res = scan(m, **kwargs)
-        return replace(res, bitmap=res.bitmap ^ 1) if m.rows == 3 else res
+    def flip_on_dual(k, n, scans=1):
+        scan = scanner(k, n, scans)
+        return (lambda rows: scan(rows) ^ 1) if k == 3 else scan
 
     sf = systematic_form(g74_sys)
     assert complement_duality_check(sf, h74)
-    monkeypatch.setattr(counting, "brute_force_counts", flip_on_dual)
+    monkeypatch.setattr(counting, "_scanner", flip_on_dual)
     assert not complement_duality_check(sf, h74)
 
 
