@@ -453,9 +453,9 @@ def test_search_walks_each_column_multiset_once(capsys, monkeypatch, k, n):
     starts = []
     walk = counting._walk
 
-    def spy(start, cols, budget):
+    def spy(start, cols, budget, closed):
         starts.append(start)
-        return walk(start, cols, budget)
+        return walk(start, cols, budget, closed)
 
     monkeypatch.setattr(counting, "_walk", spy)
     code, out, _ = run(capsys, "search", "--k", str(k), "--n", str(n),

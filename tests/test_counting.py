@@ -560,7 +560,7 @@ def test_basis_count_wide_banded_matches_reversed_order(k, n, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_analyze_counts_shuffled_banded_in_connectivity_order(seed):
     # shuffling the columns spreads the band, and the input order needs
-    # over 400,000 visits; the DP's own column order needs 847 to 20,484
+    # over 400,000 visits; the DP's own column order needs 322 to 4,037
     m = _banded(24, 72, seed)
     perm = list(range(72))
     random.Random(seed).shuffle(perm)
@@ -581,11 +581,12 @@ _PINNED_DP = {
     # min(r, n - r) <= 4: the columns in the given order
     "random 4x30": lambda b: basis_count(random_full_rank(4, 30, seed=3), budget=b),
     "random 8x12": lambda b: basis_count(random_full_rank(8, 12, seed=0), budget=b),
-    # min(r, n - r) > 4: the DP's connectivity order
+    # min(r, n - r) > 4: the DP's connectivity order, from 9x22 on its lookahead order
     "random 5x30": lambda b: basis_count(random_full_rank(5, 30, seed=3), budget=b),
     "random 8x19": lambda b: basis_count(random_full_rank(8, 19, seed=1), budget=b),
     "random 9x22": lambda b: basis_count(random_full_rank(9, 22, seed=4), budget=b),
     "random 10x24": lambda b: basis_count(random_full_rank(10, 24, seed=0), budget=b),
+    "random 11x26": lambda b: basis_count(random_full_rank(11, 26, seed=2), budget=b),
     "banded 30x90": lambda b: basis_count(_banded(30, 90, 0), budget=b),
     "banded 12x36": lambda b: basis_count(_banded(12, 36, 1), budget=b),
     "systematic 5x10": lambda b: next(counting.systematic_counts([0x13EECF8], 5, 5, budget=b)),
@@ -599,8 +600,9 @@ _PINNED_DP = {
     ("random 8x12", 81, 161),
     ("random 5x30", 209, 50_567),
     ("random 8x19", 282, 15_510),
-    ("random 9x22", 4_982, 179_389),
-    ("random 10x24", 9_685, 587_488),
+    ("random 9x22", 3_631, 179_389),
+    ("random 10x24", 7_293, 587_488),
+    ("random 11x26", 33_563, 2_512_012),
     ("banded 30x90", 309, 8_316_738_440_768_340),
     ("banded 12x36", 90, 332_738),
     ("systematic 5x10", 13, 144),
@@ -622,20 +624,40 @@ def test_dp_visits_are_pinned(case, visits, independent):
 @example([[1, 0, 1, 1, 0]], 0)  # a zero column and a repeated column
 @example([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]], 1)  # zero and repeated columns
 @example([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)  # k = n: every column a coloop
+# the greedy and lookahead orders differ, with equal width sums
+@example([[0, 0, 1, 1, 1, 0, 0, 0, 1, 1], [1, 1, 1, 1, 0, 0, 0, 1, 1, 0],
+          [0, 0, 0, 1, 1, 1, 0, 0, 1, 0], [0, 1, 1, 1, 1, 0, 0, 1, 0, 0],
+          [0, 0, 1, 0, 1, 0, 0, 1, 0, 1]], 3)
+# wide enough to build the lookahead order, whose lower width sum is walked
+@example([[0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1], [0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0],
+          [1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1], [0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0],
+          [1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0]], 4)
 @settings(max_examples=150, deadline=None)
 def test_connectivity_order_is_a_row_invariant_permutation(rows, seed):
     m = BitMatrix.from_lists(rows)
     n = m.cols
+    independent = len(naive_subset_split(rows)[1])
 
-    def order_of(x):  # the rows as they stand, in the DP's layout
-        return counting._connectivity_order(permute_columns(x, range(n - 1, -1, -1)).bits, n)
+    def orders_of(x):  # greedy, lookahead and walked orders of the rows as they stand
+        bits = permute_columns(x, range(n - 1, -1, -1)).bits  # the DP's layout
+        return (*(counting._connectivity_order(bits, n, ahead) for ahead in (False, True)),
+                counting._walk_order(bits, n))
 
-    order = order_of(m)
-    assert sorted(order) == list(range(n))
+    def widths(order):  # r(A) + r(B) - r after each column, by naive ranks
+        def r(cols):
+            return naive_rank([[row[j] for j in cols] for row in rows])
+        return [r(order[:t]) + r(order[t:]) - len(rows) for t in range(1, n + 1)]
+
+    greedy, lookahead, walked = orders_of(m)
     variant = next(counting._row_equivalents(m.bits, 1, random.Random(seed)))
-    assert order_of(BitMatrix(m.rows, n, tuple(variant))) == order
-    ordered = permute_columns(m, sorted(range(n), key=order.__getitem__))
-    assert basis_count(ordered) == len(naive_subset_split(rows)[1])
+    assert orders_of(BitMatrix(m.rows, n, tuple(variant))) == (greedy, lookahead, walked)
+    for order, cuts in (greedy, lookahead):
+        assert sorted(order) == list(range(n))
+        assert cuts == widths(order)
+        ordered = permute_columns(m, sorted(range(n), key=order.__getitem__))
+        assert basis_count(ordered) == independent
+    assert walked in (greedy[0], lookahead[0])
+    assert sum(widths(walked)) <= sum(greedy[1])
 
 
 def test_subspace_bases_count_every_subspace_once():
@@ -1089,7 +1111,7 @@ def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch
 
 
 def test_oracle_scan_matches_dp_at_9x22():
-    # 4,982 visits to states of four or more words
+    # 3,631 visits to states of four or more words
     m = random_full_rank(9, 22, seed=4)
     assert analyze(m, "oracle").full_rank_count == basis_count(m, budget=25_000)
 

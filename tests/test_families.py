@@ -8,7 +8,11 @@ number 2^m |GL(m, 2)| / (m + 1)!.  For the extended Golay code the
 tests pin I = 1,391,040 and its known weight distribution.  The Hamming
 codes, RM(1, 3) and Golay have k >= n - k, so they take the dual branch
 through ``systematic_form`` and ``dual_of``; the Hamming codes of m = 5
-and 6 and Golay then run the DP on the dual.
+and 6 and Golay then run the DP on the dual.  Through ``weights`` and
+``weights --dual``, S_m has 2^m - 1 words of weight 2^(m - 1), RM(1, m)
+has 2^(m + 1) - 2 of weight 2^(m - 1) and one of weight 2^m, and the
+Hamming code's enumerator is [(1 + y)^n + n (1 - y)(1 - y^2)^((n - 1) / 2)]
+/ (n + 1) (MacWilliams & Sloane 1977).
 """
 
 import json
@@ -34,6 +38,39 @@ CASES = (
 )
 
 GOLAY_WEIGHTS = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def hamming_weights(m: int) -> dict[int, int]:
+    """[(1 + y)^n + n (1 - y)(1 - y^2)^((n - 1) / 2)] / (n + 1), n = 2^m - 1."""
+    n = 2 ** m - 1
+    ones, odd = [1], [n, -n]
+    for _ in range(n):
+        ones = _times(ones, [1, 1])
+    for _ in range((n - 1) // 2):
+        odd = _times(odd, [1, 0, -1])
+    coeffs = [a + b for a, b in zip(ones, odd)]
+    assert all(c % (n + 1) == 0 for c in coeffs)
+    return {w: c // (n + 1) for w, c in enumerate(coeffs) if c}
+
+
+def extended(rows: list[list[int]]) -> list[list[int]]:
+    """Each row with an overall parity bit appended."""
+    return [row + [sum(row) % 2] for row in rows]
+
+
+ENUMERATORS = {
+    "simplex": lambda m: {0: 1, 2 ** (m - 1): 2 ** m - 1},
+    "rm1": lambda m: {0: 1, 2 ** (m - 1): 2 ** (m + 1) - 2, 2 ** m: 1},
+    "hamming": hamming_weights,
+}
 
 
 @pytest.mark.parametrize("m", range(3, 7))
@@ -85,3 +122,22 @@ def test_simplex_4_passes_the_scan_checks():
     m = BitMatrix.from_lists(simplex(4))
     assert complement_duality_check(systematic_form(m))
     assert row_op_invariance_check(m, trials=3)
+
+
+@pytest.mark.parametrize("m", range(3, 6))
+@pytest.mark.parametrize("code, rows, dual", [
+    pytest.param("simplex", simplex, False, id="simplex"),
+    pytest.param("simplex", hamming, True, id="simplex-as-dual-of-hamming"),
+    pytest.param("hamming", hamming, False, id="hamming"),
+    pytest.param("hamming", simplex, True, id="hamming-as-dual-of-simplex"),
+    pytest.param("rm1", reed_muller_1, False, id="rm1"),
+    # the extended Hamming code is RM(m - 2, m), the dual of RM(1, m)
+    pytest.param("rm1", lambda m: extended(hamming(m)), True,
+                 id="rm1-as-dual-of-extended-hamming"),
+])
+def test_family_enumerators_through_weights(capsys, tmp_path, m, code, rows, dual):
+    path = tmp_path / "m.txt"
+    path.write_text(str(BitMatrix.from_lists(rows(m))) + "\n")
+    assert main(["weights", str(path), "--format", "json", *["--dual"] * dual]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["coeffs"]
+    assert {w: c for w, c in enumerate(coeffs) if c} == ENUMERATORS[code](m)
