@@ -13,16 +13,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetError, ConsistencyError, DimensionError, RankError
-from .gf2 import BitMatrix, SystematicForm, check_index_set, rank
+from .gf2 import BitMatrix, SystematicForm, check_index_set, reduced_basis
 
 # Largest dimension enumerated by default.  Random dimension-28 codes took
-# 2.1 s at length 36 and 4.3 s at length 56 (2-vCPU Xeon, Python 3.11);
-# each further dimension doubles that.
+# 0.8-1.2 s at length 36 and 1.9-2.3 s at length 56 (2-vCPU Xeon, Python
+# 3.11); each further dimension doubles that.
 DEFAULT_MAX_ENUM_DIM = 28
 
 # Message bits weighed per sliced block: n tables of 2^16 bits (8 KiB
-# each).  A dimension-20, length-36 code took 10.3 ms with 16 bits,
-# against 11.6 ms with 15, 10-11 ms with 17 and 11-13 ms with 18.
+# each).  On random dimension-18 to 22 codes of length 34 to 40 (9
+# interleaved rounds), 15-bit blocks took 2-10% longer than 16-bit ones,
+# 14-bit 17-31%, 17-bit 18-29% and 18-bit 42-99%.
 _SLICE_BITS = 16
 
 
@@ -76,11 +77,14 @@ class WeightEnumerator:
 def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
     """Weight distribution of the row space of gen, by direct enumeration.
 
-    Small codes walk all 2^k codewords in Gray-code order, so each step
-    is a single row XOR and a popcount.  Where ``_slices`` says so,
-    _sliced_counts weighs the codewords 2^_SLICE_BITS at a time instead.
-    The tally is order-independent, so the result is deterministic
-    however the walk is arranged.
+    The walk runs over ``reduced_basis(gen)``, whose columns are gen's
+    reversed; weights do not depend on column order.  Small codes walk
+    all 2^k codewords in Gray-code order, so each step is a single row
+    XOR and a popcount.  Where ``_slices`` says so, _sliced_counts
+    weighs the codewords 2^_SLICE_BITS at a time instead, adding only
+    the columns that change from block to block.  The tally is
+    order-independent, so the result is deterministic however the walk
+    is arranged.
 
     Args:
         gen: generator matrix with full row rank.
@@ -90,49 +94,53 @@ def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
         BudgetError: k is over DEFAULT_MAX_ENUM_DIM.
     """
     k, n = gen.rows, gen.cols
-    r = rank(gen)
-    if r != k:
-        raise RankError(f"matrix has rank {r}, full row rank {k} required")
+    basis = reduced_basis(gen)
+    if len(basis) != k:
+        raise RankError(f"matrix has rank {len(basis)}, full row rank {k} required")
     if k > DEFAULT_MAX_ENUM_DIM:
         raise BudgetError(
             f"enumerating 2^{k} codewords exceeds the dimension guard "
             f"{DEFAULT_MAX_ENUM_DIM}"
         )
     if _slices(k, n):
-        return WeightEnumerator(n, tuple(_sliced_counts(gen.bits, n)))
+        return WeightEnumerator(n, tuple(_sliced_counts(basis, n)))
     counts = [0] * (n + 1)
     counts[0] = 1
     word = 0
-    rows_local = gen.bits
     for step in range(1, 1 << k):
-        word ^= rows_local[(step & -step).bit_length() - 1]
+        word ^= basis[(step & -step).bit_length() - 1]
         counts[word.bit_count()] += 1
     return WeightEnumerator(n, tuple(counts))
 
 
-# weight_enumerator slices once 2^k >= n * max(16, n / 8) (``_slices``).  A
-# sliced block costs about n big-int additions where the Gray walk costs
-# 2^k steps, so the crossover is a ratio, not a dimension, and past n = 128
-# it grows with n.  Measured Gray/sliced time (median of 5 random matrices,
-# best of 3, 2-vCPU Xeon, Python 3.11) is 1 at n = 9.5, 19.5, 37 and 65 for
-# k = 7 to 10 (2^k/n = 13-16), at n = 125, 195, 260 and 480 for k = 11 to 14
-# (2^k/n = 16, 21, 31 and 34); 0.72 at k = 12, n = 256 and 0.87 at k = 13,
-# n = 320, both sliced under 2^k >= 16 n alone.  Dimensions 3-6
-# (2^k/n <= 11) run 1.3-5x faster on the Gray walk.
+# weight_enumerator slices once 2^k >= n * max(16, n / 12) (``_slices``).  A
+# sliced block costs a few big-int operations a column where the Gray walk
+# costs 2^k steps, so the crossover is a ratio, not a dimension, and past
+# n = 192 it grows with n.  Measured Gray/sliced time (median of 5-7 random
+# matrices, best of 3-5, 2-vCPU Xeon, Python 3.11) is 1 at n = 8, 18, 40, 76
+# and 150 for k = 7 to 11 (2^k/n = 13-16), at n = 250, 410, 650, 790 and 880
+# for k = 12 to 16 (2^k/n = 16, 20, 25, 41 and 74); near the rule's edge it
+# is 1.1-1.4 for k = 12 to 19 (1.0 at k = 16, n = 886).  Dimensions 3-6
+# (2^k/n <= 11) run 1.2-2x faster on the Gray walk.
 def _slices(k: int, n: int) -> bool:
     """The rule above: does a dimension-k, length-n code take the sliced path?"""
-    return 1 << k >= n * max(16, n >> 3)
+    return 1 << k >= n * max(16, n // 12)
 
 
 def _sliced_counts(rows: tuple[int, ...], n: int) -> list[int]:
     """Weight counts of the row space of rows, 2^t messages per block.
 
     With t = min(k, _SLICE_BITS), bit m of tables[j] is coordinate j of
-    the codeword whose low t message bits are m.  A bit-sliced counter
-    sums the n tables lane by lane, and the lanes are then split by
-    counter value.  The high k - t message bits are walked in Gray
-    order; each step complements the tables of the coordinates covered
-    by the row it adds.
+    the codeword whose low t message bits are m; the high k - t rows are
+    walked in Gray order, one block per step.  A column no high row
+    covers has the same table in every block, so those are summed once.
+    A column only high rows cover is all zeros or all ones in a block,
+    and adds its bit of the walk's word to every lane.  The rest are
+    complemented as the walk adds their rows, and each block sums them
+    onto the once-summed digits with ``_add_planes``.  The lanes are
+    then split by sum.  Any basis counts right; in a reduced one each
+    low pivot holds just its lane, each high pivot is of the second
+    kind, and at most the n - k non-pivot columns are left to the blocks.
     """
     k = len(rows)
     t = min(k, _SLICE_BITS)
@@ -148,40 +156,68 @@ def _sliced_counts(rows: tuple[int, ...], n: int) -> list[int]:
             tables[low.bit_length() - 1] ^= lane
             row ^= low
         lane ^= lane >> (1 << i >> 1)
+    high = rows[t:]
+    covered = 0
+    for row in high:
+        covered |= row
+    fixed = _add_planes([tables[j] for j in range(n) if tables[j] and not covered >> j & 1])
+    moving = [j for j in range(n) if tables[j] and covered >> j & 1]
+    constant = sum(1 << j for j in range(n) if not tables[j] and covered >> j & 1)
+    flips = [[i for i, j in enumerate(moving) if row >> j & 1] for row in high]
+    live = [tables[j] for j in moving]
     counts = [0] * (n + 1)
+    word = 0
     for step in range(1 << (k - t)):
         if step:
-            row = rows[t + (step & -step).bit_length() - 1]
-            while row:
-                low = row & -row
-                tables[low.bit_length() - 1] ^= ones
-                row ^= low
-        # ripple-carry add of the n tables; digits[b] is bit b of each lane's sum
-        digits: list[int] = []
-        for carry in tables:
-            for b, d in enumerate(digits):
-                digits[b] = d ^ carry
-                carry &= d
-                if not carry:
-                    break
-            else:
-                if carry:
-                    digits.append(carry)
+            h = (step & -step).bit_length() - 1
+            word ^= high[h]
+            for i in flips[h]:
+                live[i] ^= ones
         # split the lanes by sum, one digit at a time
-        parts = [(0, ones)]
-        for b, d in enumerate(digits):
+        parts = [((word & constant).bit_count(), ones)]
+        for b, d in enumerate(_add_planes(live, fixed)):
             split = []
             for value, part in parts:
                 hi = part & d
                 lo = part ^ hi
                 if hi:
-                    split.append((value | 1 << b, hi))
+                    split.append((value + (1 << b), hi))
                 if lo:
                     split.append((value, lo))
             parts = split
         for value, part in parts:
             counts[value] += part.bit_count()
     return counts
+
+
+def _add_planes(planes: Sequence[int], seed: Sequence[int] = ()) -> list[int]:
+    """Lane-by-lane sum of the planes and seed, as digits.
+
+    Bit m of digits[b] is bit b of lane m's total: the number of planes
+    with bit m set plus the number seed, itself such a digit list, holds
+    at lane m.  Each carry-save full adder (Harley-Seal) turns three
+    planes of one digit into their sum at that digit and their carry at
+    the next, in five big-int operations.
+    """
+    digits: list[int] = []
+    level = list(planes)
+    while level or len(digits) < len(seed):
+        level += seed[len(digits):len(digits) + 1]
+        carries = []
+        while len(level) > 2:
+            x, y, z = level.pop(), level.pop(), level.pop()
+            u = x ^ y
+            level.append(u ^ z)
+            carries.append(x & y | u & z)
+        if len(level) == 2:
+            x, y = level
+            level = [x ^ y]
+            carries.append(x & y)
+        digits.append(level[0])
+        level = carries
+    while digits and not digits[-1]:  # a carry no lane set
+        digits.pop()
+    return digits
 
 
 def macwilliams(we: WeightEnumerator, dim: int) -> WeightEnumerator:

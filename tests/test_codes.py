@@ -1,10 +1,12 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import identity
 from gf2count import codes
+from gf2count.gf2 import reduced_basis
 from gf2count import (
     BitMatrix,
     BudgetError,
@@ -18,6 +20,7 @@ from gf2count import (
     macwilliams,
     min_weight,
     parse_matrix,
+    permute_columns,
     rank,
     systematic_form,
     weight_enumerator,
@@ -101,10 +104,11 @@ def _is_sliced(m):
 def test_slicing_rule_keeps_the_gray_walk_where_it_was_measured_faster():
     # Gray/sliced time at these shapes (codes._slices' comment): under 1 where the
     # Gray walk stays, over 1 where the sliced path does
-    assert not any(codes._slices(k, n) for k, n in [(12, 224), (12, 256), (13, 288), (13, 320),
-                                                     (10, 96), (9, 48), (7, 12)])
-    assert all(codes._slices(k, n) for k, n in [(12, 160), (13, 192), (13, 224), (11, 96),
-                                                 (14, 320), (9, 22), (7, 8)])
+    assert not any(codes._slices(k, n) for k, n in [(12, 272), (13, 448), (14, 768), (15, 832),
+                                                     (16, 1024), (11, 176), (9, 48), (7, 12)])
+    assert all(codes._slices(k, n) for k, n in [(12, 208), (13, 288), (14, 416), (16, 724),
+                                                 (16, 800), (17, 1253), (18, 1700), (19, 2400),
+                                                 (9, 22), (8, 16)])
     # weights --dual's dimension 18-20 duals at length 34-36 stay sliced
     assert all(codes._slices(k, n) for k in (18, 19, 20) for n in (34, 35, 36))
 
@@ -131,16 +135,86 @@ def test_sliced_enumerator_long_codes_match_naive(k, n):
     assert list(weight_enumerator(m).coeffs) == counts
 
 
-@given(full_rank_matrices(max_rows=6, max_cols=9), st.integers(1, 3))
+@given(full_rank_matrices(max_rows=6, max_cols=9), st.integers(1, 3), st.randoms(use_true_random=False))
 @settings(max_examples=60)
-def test_small_sliced_blocks_match_naive(m, block_bits):
+def test_small_sliced_blocks_match_naive(m, block_bits, rnd):
     # force the sliced path with tiny blocks, so the Gray walk over the
-    # high message bits runs across many blocks
+    # high message bits runs across many blocks; zero and repeated columns
+    # join in at random places
+    cols = list(zip(*row_lists(m)))
+    cols += [rnd.choice(cols) for _ in range(rnd.randint(0, 2))] + [(0,) * m.rows] * rnd.randint(0, 2)
+    rnd.shuffle(cols)
+    m = BitMatrix.from_lists([list(r) for r in zip(*cols)])
     counts = naive_weight_counts(row_lists(m))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes, "_slices", lambda k, n: True)
         mp.setattr(codes, "_SLICE_BITS", block_bits)
         assert list(weight_enumerator(m).coeffs) == counts
+
+
+@pytest.mark.parametrize("k", [17, 18])
+def test_identity_has_no_changing_column(k):
+    # every column is a pivot: the low ones are summed once, the high ones
+    # are the walk's offset, and no table changes from block to block
+    m = identity(k)
+    assert _is_sliced(m) and k > codes._SLICE_BITS
+    assert list(weight_enumerator(m).coeffs) == [comb(k, w) for w in range(k + 1)]
+
+
+@given(full_rank_matrices(max_rows=5, max_cols=7), st.integers(1, 3))
+@settings(max_examples=60)
+def test_high_row_with_only_its_pivot_matches_naive(m, block_bits):
+    # a unit row on a new last column: its pivot comes last, so its word
+    # is high, and it covers no column but its own
+    k, n = m.rows + 1, m.cols + 1
+    unit = BitMatrix(k, n, m.bits + (1 << m.cols,))
+    assert reduced_basis(unit)[-1] == 1
+    counts = naive_weight_counts(row_lists(unit))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_slices", lambda k, n: True)
+        mp.setattr(codes, "_SLICE_BITS", min(block_bits, k - 1))
+        assert list(weight_enumerator(unit).coeffs) == counts
+
+
+@given(full_rank_matrices(max_rows=6, max_cols=9), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_enumerator_invariant_under_column_and_row_moves(m, rnd):
+    k, n = m.rows, m.cols
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    rows = list(permute_columns(m, perm).bits)
+    for _ in range(3 * k if k > 1 else 0):
+        i, j = rnd.sample(range(k), 2)
+        rows[i] ^= rows[j]
+    moved = BitMatrix(k, n, tuple(rows))
+    for sliced, block_bits in [(False, 16), (True, 16), (True, 1), (True, 2)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "_slices", lambda k, n: sliced)
+            mp.setattr(codes, "_SLICE_BITS", block_bits)
+            assert weight_enumerator(moved) == weight_enumerator(m)
+
+
+@given(st.integers(1, 80).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=70),
+                        st.lists(st.integers(0, (1 << w) - 1), max_size=70))))
+@settings(max_examples=100)
+def test_add_planes_sums_each_lane(case):
+    w, planes, seeded = case
+    seed = codes._add_planes(seeded)
+    for digits, extra in [(codes._add_planes(planes), 0), (codes._add_planes(planes, seed), 1)]:
+        for m in range(w):
+            want = sum(p >> m & 1 for p in planes) + extra * sum(p >> m & 1 for p in seeded)
+            assert sum((d >> m & 1) << b for b, d in enumerate(digits)) == want
+        assert not digits or digits[-1]
+
+
+def test_add_planes_edge_lists():
+    assert codes._add_planes([]) == []
+    assert codes._add_planes([0, 0, 0, 0]) == []
+    assert codes._add_planes([0b1011]) == [0b1011]
+    assert codes._add_planes([], [0b01, 0b10]) == [0b01, 0b10]
+    # 70 all-ones planes: every lane sums to 70 = 0b1000110
+    assert codes._add_planes([0b111] * 70) == [0, 0b111, 0b111, 0, 0, 0, 0b111]
 
 
 @st.composite
