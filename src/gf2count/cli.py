@@ -30,6 +30,7 @@ import json
 import random
 import sys
 from functools import cache
+from itertools import repeat
 from math import comb
 from typing import Optional, Sequence
 
@@ -213,7 +214,7 @@ def run_search(args: argparse.Namespace) -> dict:
         candidates = range(1 << width)
     else:
         rng = random.Random(args.seed)
-        candidates = list(dict.fromkeys(rng.getrandbits(width) for _ in range(args.samples)))
+        candidates = list(dict.fromkeys(map(rng.getrandbits, repeat(width, args.samples))))
 
     best = -1
     achieved = 0

@@ -22,18 +22,19 @@ One scanner serves any number of k x n row sets, deciding each state
 shape and building a closing one's tables once, in a table that ends
 with the call that made it (for a ``verify``, ``verify_checks``).  The DP restricts the subcode to the later columns,
 counts the prefixes that share it together and finishes a subcode of
-at most three words in closed form.  Its one entry,
-``_walk``, starts from ``gf2.reduced_basis`` and alone chooses the DP's
-column order.
+at most three words in closed form, so a four-word start walks as one
+chain of states.  Its one entry, ``_walk``, starts from
+``gf2.reduced_basis`` and alone chooses the DP's column order.
 
 The DP and the scan are limited by one work budget, counted in visits
 to DP states of four or more words or in subsets scanned.  ``analyze``
 ties them together: it picks the cheaper side (code or dual) for the
 distribution, checks the distance condition, and runs its exact methods
 from one ordered list, the formula when it is valid and the DP when
-nothing else runs.  ``systematic_counts`` scores ``search``'s
-candidates [I | P]: in closed form for k <= 3, else by one walk per
-multiset of P's columns.
+nothing else runs.  ``brute_force_counts`` scans the side with fewer
+rows.  ``systematic_counts`` scores ``search``'s candidates [I | P]: in
+closed form from the block's bits for k <= 3, else by one walk per
+multiset of P's columns, a single chain of states at k = 4.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -318,6 +319,11 @@ def _scanner(k: int, n: int, scans: int = 1) -> Callable[[Sequence[int]], int]:
     return lambda rows: walk(rows, 0)
 
 
+def _reversed(bitmap: int, size: int) -> int:
+    """The ``size``-bit ``bitmap`` read backwards: complements reverse lexicographic order."""
+    return int(format(bitmap, f"0{size}b")[::-1], 2)
+
+
 def brute_force_counts(
     m: BitMatrix,
     *,
@@ -327,10 +333,13 @@ def brute_force_counts(
 ) -> BruteForceResult:
     """Classify every k-column subset of m by rank, as one bitmap.
 
-    A depth-first walk over column prefixes (``_scanner``)
-    marks the independent subsets in lexicographic order, closing some
-    states as one AND over their subcode's nonzero words.  The counts are
-    the bitmap's population and its complement, and collected lists are
+    A depth-first walk over column prefixes (``_scanner``) marks the
+    independent subsets in lexicographic order, closing some states as
+    one AND over their subcode's nonzero words.  It walks the side with
+    fewer rows, to depth min(k, n - k): where k > n - k it scans the dual
+    in m's column order and reverses its bits, as a subset is a basis
+    exactly when its complement is one of the dual.  The counts are the
+    bitmap's population and its complement, and collected lists are
     decoded from it in the same order, so they are deterministic.
 
     Args:
@@ -352,7 +361,12 @@ def brute_force_counts(
     if total > budget:
         raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
 
-    bitmap = _scanner(k, n)(m.bits)
+    if k > n - k:  # scan the dual in m's column order; complements reverse the order
+        sf = systematic_form(m)
+        h = permute_columns(dual_of(sf), sorted(range(n), key=sf.col_perm.__getitem__))
+        bitmap = _reversed(_scanner(n - k, n)(h.bits), total)
+    else:
+        bitmap = _scanner(k, n)(m.bits)
     independent = bitmap.bit_count()
     if not collect_sets:
         return BruteForceResult(total - independent, independent, None, None, bitmap)
@@ -478,6 +492,10 @@ def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
     return _walk(start, gen.cols, budget, {})
 
 
+def _over_budget(visits: int, budget: int) -> BudgetError:
+    return BudgetError(f"subset DP needs at least {visits} state visits, over budget {budget}")
+
+
 def _walk(start: tuple[int, ...], n: int, budget: int,
           closed: dict[tuple[int, ...], int]) -> int:
     """The subset DP: independent r-subsets of n columns, r = len(start).
@@ -495,6 +513,9 @@ def _walk(start: tuple[int, ...], n: int, budget: int,
     (``_completions``), each distinct one once, its count kept in the
     caller's dict ``closed``, so r <= 3 walks no column.  A state is fixed
     by span(A) ∩ span(later columns), usually far fewer than C(n, r).
+    At r = 4 a state's only four-word child is its skip child, so the walk
+    is one chain in no dict, from one column its head holds to the next,
+    each column passed still one visit.
 
     Raises:
         BudgetError: visits to states of four or more words, summed over
@@ -503,6 +524,21 @@ def _walk(start: tuple[int, ...], n: int, budget: int,
     r = len(start)
     if r < 4:
         return _completions(start)
+    full = 0
+    if r == 4:  # the chain of single states
+        while True:
+            head = start[0]
+            top = 1 << (head.bit_length() - 1)  # the next column any word holds
+            if n - head.bit_length() >= budget:  # that column j is the (j + 1)-th visit
+                raise _over_budget(budget + 1, budget)
+            rest = start[1:]
+            done = closed.get(rest)
+            if done is None:
+                done = closed[rest] = _completions(rest)
+            full += done
+            if head == top:
+                return full
+            start = _insert(rest, head ^ top)
     # a cut's r(A) + r(B) - r never exceeds min(r, n - r); up to 4, every
     # order keeps at most 67 subspaces live, and ordering costs more
     if min(r, n - r) > 4:
@@ -510,13 +546,11 @@ def _walk(start: tuple[int, ...], n: int, budget: int,
         perm = sorted(range(n), key=order.__getitem__, reverse=True)  # that bit to column t
         start = reduced_basis(permute_columns(BitMatrix(r, n, start), perm))
     states = {start: 1}
-    full = visits = 0
+    visits = 0
     for j in range(n):
         visits += len(states)
         if visits > budget:
-            raise BudgetError(
-                f"subset DP needs at least {visits} state visits, over budget {budget}"
-            )
+            raise _over_budget(visits, budget)
         bit = 1 << (n - 1 - j)
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
@@ -552,19 +586,22 @@ def systematic_counts(
 ) -> Iterator[int]:
     """``basis_count`` of [I | P] for each block P, read as by ``systematic_rows``.
 
-    For k <= 3 the rows are counted at once by ``_completions``, which
-    needs no column order.  Otherwise the count depends only on the
-    multiset of P's columns, so each multiset is walked once: its key is
-    P's columns as 0/1 text, row 0 first, sorted and joined.  In the
-    DP's layout, column j at bit n - 1 - j, row i of [I | P] in that
-    column order is the identity's bit n - 1 - i over the key's
-    characters i, i + k, ... read in binary.  It alone holds that bit,
-    so the rows are fully reduced and are ``_walk``'s start as they stand.
-    Raises BudgetError as ``_walk`` does, so never for k <= 3.
+    For k <= 3 the rows of [I_3 | P], P's missing rows zero, are one
+    3-tuple of shifted masks, counted at once by ``_completions`` with no
+    column order; an added unit row is a coloop, so no count changes.
+    Otherwise the count depends only on the multiset of P's columns, so
+    each multiset is walked once: its key is P's columns as 0/1 text,
+    row 0 first, sorted and joined.  In the DP's layout, column j at bit
+    n - 1 - j, row i of [I | P] in that column order is the identity's
+    bit n - 1 - i over the key's characters i, i + k, ... read in binary,
+    which it alone holds, so the rows are fully reduced and are ``_walk``'s
+    start as they stand.  Raises BudgetError as ``_walk`` does, not at k <= 3.
     """
     if k <= 3:
-        for p_bits in blocks:
-            yield _completions(systematic_rows(p_bits, k, w))
+        pmask = (1 << w) - 1
+        for p in blocks:
+            yield _completions((1 | (p & pmask) << 3, 2 | (p >> w & pmask) << 3,
+                                4 | p >> 2 * w << 3))
         return
     n, width = k + w, k * w
     scores: dict[str, int] = {}
@@ -788,9 +825,10 @@ def _duality_holds(g: SystematicForm, h: Optional[BitMatrix], budget: int,
             f"scanning both sides needs {comb(n, k) + comb(n, n - k)} subsets, "
             f"over budget {budget}"
         )
-    forward = format(scan(g.matrix.bits), f"0{comb(n, k)}b")
-    dual = scan(h.bits) if 2 * k == n else brute_force_counts(h, budget=budget).bitmap
-    return dual == int(forward[::-1], 2)
+    expected = _reversed(scan(g.matrix.bits), comb(n, k))  # h's bitmap, by duality
+    if k > n - k:  # h has fewer rows, so brute_force_counts scans it as given
+        return brute_force_counts(h, budget=budget).bitmap == expected
+    return (scan if 2 * k == n else _scanner(n - k, n))(h.bits) == expected  # h as given
 
 
 def _row_equivalents(rows: Sequence[int], trials: int,

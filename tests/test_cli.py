@@ -13,6 +13,7 @@ from gf2count import (
 )
 from gf2count.cli import DEFAULT_WITNESS_CAP, main
 from gf2count.errors import ConsistencyError, DimensionError
+from make_search_hashes import HASHES, outcome
 
 G74 = fixture_path("g_7_4.txt")
 G74_SYS = fixture_path("g_7_4_systematic.txt")
@@ -512,6 +513,14 @@ def test_search_runs_no_count_pipeline(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == expected[1]
+
+
+def test_search_output_bytes_are_pinned():
+    # exit codes and output hashes of sampled, exhaustive and over-budget calls,
+    # written by tests/make_search_hashes.py
+    changed = [" ".join(entry["argv"]) for entry in json.loads(HASHES.read_text())
+               if outcome(entry["argv"]) != entry]
+    assert not changed, "search output changed for:\n" + "\n".join(changed)
 
 
 def test_search_bad_shape(capsys):

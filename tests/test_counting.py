@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from math import comb
@@ -592,6 +594,10 @@ _PINNED_DP = {
     "systematic 5x10": lambda b: next(counting.systematic_counts([0x13EECF8], 5, 5, budget=b)),
     "systematic 6x12": lambda b: next(
         counting.systematic_counts([0xB4164D839], 6, 6, budget=b)),
+    # four rows: one state a column, so a visit a column until the chain ends
+    "systematic 4x10": lambda b: next(counting.systematic_counts([0x5BC8FB], 4, 6, budget=b)),
+    "dual of random 26x30": lambda b: basis_count(
+        dual_of(systematic_form(random_full_rank(26, 30, seed=0))), budget=b),
 }
 
 
@@ -607,6 +613,8 @@ _PINNED_DP = {
     ("banded 12x36", 90, 332_738),
     ("systematic 5x10", 13, 144),
     ("systematic 6x12", 18, 168),
+    ("systematic 4x10", 7, 131),
+    ("dual of random 26x30", 27, 7_179),
 ])
 def test_dp_visits_are_pinned(case, visits, independent):
     # the least budget each DP fits in: its column order, its start state
@@ -726,14 +734,18 @@ def test_systematic_count_matches_basis_count_and_mobius(block):
 @example((2, 6, _p_bits([3, 3, 1, 3], 2)))  # repeated columns
 @example((3, 8, _p_bits([6, 6, 6, 0, 0], 3)))  # repeated zero and nonzero columns
 @example((3, 9, _p_bits([3, 5, 6, 7, 7, 3], 3)))  # a Fano line {3, 5, 6}, repeats
+@example((1, 2, 1))  # w = 1: [I_3 | P] pads the rows out with coloops
+@example((2, 3, 0b01))
+@example((2, 3, 0b11))
 @settings(max_examples=120, deadline=None)
 def test_search_score_of_three_rows_or_fewer_matches_naive_split(block):
     k, n, p_bits = block
     w = n - k
     rows = [[int(c == i) for c in range(k)]
             + [p_bits >> (i * w + j) & 1 for j in range(w)] for i in range(k)]
-    score = counting._completions(systematic_rows(p_bits, k, w))
-    assert score == len(naive_subset_split(rows)[1])
+    independent = len(naive_subset_split(rows)[1])
+    assert counting._completions(systematic_rows(p_bits, k, w)) == independent
+    assert next(counting.systematic_counts([p_bits], k, w)) == independent  # search's path
 
 
 def _lex_bitmap(family: set, n: int, size: int) -> int:
@@ -760,6 +772,7 @@ def test_scan_matches_naive_split(rows):
 @given(full_rank_with_repeats())
 @example([[1, 0, 1, 1, 0]])
 @example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+@example([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])  # k > n - k: m's side is a reversal
 @settings(max_examples=80, deadline=None)
 def test_dual_bitmap_is_generator_bitmap_reversed(rows):
     k, n = len(rows), len(rows[0])
@@ -774,8 +787,53 @@ def test_dual_bitmap_is_generator_bitmap_reversed(rows):
     g_bitmap = brute_force_counts(BitMatrix.from_lists(rows)).bitmap
     h_bitmap = brute_force_counts(h).bitmap
     total = comb(n, k)
+    # the taller side is scanned as its dual and reversed, so check each side on its own
+    assert g_bitmap == _lex_bitmap(independent, n, k)
     assert h_bitmap == _lex_bitmap(complements, n, n - k)
     assert h_bitmap == int(format(g_bitmap, f"0{total}b")[::-1], 2)
+
+
+def test_scan_of_a_matrix_taller_than_the_recursion_limit():
+    # [I_k | a | b]: S is a basis iff the two columns left out are independent in the
+    # 2-row dual [a^T; b^T | I_2], whose column j reads (a_j, b_j); one scan level a row
+    # would exceed the recursion limit, so the scan must walk the 2-row side
+    k = sys.getrecursionlimit() + 100
+    rng = random.Random(0)
+    a, b = rng.getrandbits(k), rng.getrandbits(k)
+    m = BitMatrix(k, k + 2, tuple(1 << i | (a >> i & 1) << k | (b >> i & 1) << (k + 1)
+                                  for i in range(k)))
+    kinds = Counter((a >> i & 1) | (b >> i & 1) << 1 for i in range(k))
+    kinds.update((1, 2))
+    independent = kinds[1] * kinds[2] + kinds[1] * kinds[3] + kinds[2] * kinds[3]
+    res = brute_force_counts(m, collect_sets=True, set_limit=0)
+    assert (res.singular_count, res.full_rank_count) == (comb(k + 2, 2) - independent,
+                                                         independent)
+    assert res.dependent_sets is res.independent_sets is None
+    assert analyze(m, "oracle").full_rank_count == independent
+
+
+def test_verify_scans_each_side_as_given(monkeypatch):
+    # the complement-duality check compares two independent scans: m's side and
+    # the dual's, each walked as given, never one side's dual reversed
+    scanner = counting._scanner
+    scanned = []
+
+    def spy(k, n, scans=1):
+        scan = scanner(k, n, scans)
+
+        def recorded(rows):
+            scanned.append((k, len(rows)))
+            return scan(rows)
+        return recorded
+
+    monkeypatch.setattr(counting, "_scanner", spy)
+    for k, n in ((6, 14), (8, 14)):
+        scanned.clear()
+        m = random_full_rank(k, n, seed=2)
+        assert all(ok for _, ok in counting.verify_checks(m, systematic_form(m)))
+        assert all(rows == shape for shape, rows in scanned)
+        # g, m and the 20 variants on m's side, and the dual
+        assert Counter(rows for _, rows in scanned) == {k: 22, n - k: 1}
 
 
 def _rows_of(cols: list[int], k: int) -> list[list[int]]:
