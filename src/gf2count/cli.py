@@ -26,13 +26,11 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
+from collections.abc import Sequence
 from functools import cache
 from itertools import repeat
 from math import comb
-from typing import Optional, Sequence
 
 from .codes import dual_of, macwilliams, weight_enumerator
 from .counting import (
@@ -89,10 +87,12 @@ def _emit(lines: Sequence[str]) -> None:
 
 
 def _emit_json(obj: object) -> None:
+    import json  # loaded only by the calls that print JSON
+
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _set_sections(rep: CountReport, limit: Optional[int]) -> list[str]:
+def _set_sections(rep: CountReport, limit: int | None) -> list[str]:
     lines = []
     for label, count, sets in (("dependent sets", rep.singular_count, rep.dependent_sets),
                                ("independent sets", rep.full_rank_count, rep.independent_sets)):
@@ -106,7 +106,7 @@ def _set_sections(rep: CountReport, limit: Optional[int]) -> list[str]:
 
 
 def _report_text(rep: CountReport, permutation: tuple[int, ...],
-                 set_limit: Optional[int], sets_requested: bool) -> list[str]:
+                 set_limit: int | None, sets_requested: bool) -> list[str]:
     side_dim = rep.n - rep.k if rep.side == "dual" else rep.k
     lines = [f"matrix: {rep.k} x {rep.n}, full row rank"]
     if any(p != j for j, p in enumerate(permutation)):
@@ -213,6 +213,8 @@ def run_search(args: argparse.Namespace) -> dict:
             )
         candidates = range(1 << width)
     else:
+        import random  # loaded only by a sampled search
+
         rng = random.Random(args.seed)
         candidates = list(dict.fromkeys(map(rng.getrandbits, repeat(width, args.samples))))
 
@@ -364,7 +366,7 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "count" and args.mode == "formula" and args.list_sets:

@@ -9,11 +9,10 @@ as a built-in consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import BudgetError, ConsistencyError, DimensionError, RankError
-from .gf2 import BitMatrix, SystematicForm, check_index_set, reduced_basis
+from .gf2 import BitMatrix, SystematicForm, _Record, _set, check_index_set, reduced_basis
 
 # Largest dimension enumerated by default.  Random dimension-28 codes took
 # 0.8-1.2 s at length 36 and 1.9-2.3 s at length 56 (2-vCPU Xeon, Python
@@ -27,28 +26,26 @@ DEFAULT_MAX_ENUM_DIM = 28
 _SLICE_BITS = 16
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
+class WeightEnumerator(_Record):
     """Exact weight distribution of a length-n code.
 
     ``coeffs[w]`` counts the codewords of Hamming weight w, for
     w = 0..n, so the tuple always has n + 1 entries and coeffs[0] >= 1.
     """
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DimensionError(f"bad length {self.n}")
-        if len(self.coeffs) != self.n + 1:
-            raise DimensionError(
-                f"need {self.n + 1} coefficients, got {len(self.coeffs)}"
-            )
-        if any(c < 0 for c in self.coeffs):
+    def __init__(self, n: int, coeffs: tuple[int, ...]) -> None:
+        if n < 1:
+            raise DimensionError(f"bad length {n}")
+        if len(coeffs) != n + 1:
+            raise DimensionError(f"need {n + 1} coefficients, got {len(coeffs)}")
+        if any(c < 0 for c in coeffs):
             raise ConsistencyError("negative weight count")
-        if self.coeffs[0] < 1:
+        if coeffs[0] < 1:
             raise ConsistencyError("zero word missing from weight distribution")
+        _set(self, "n", n)
+        _set(self, "coeffs", coeffs)
 
     @property
     def size(self) -> int:
@@ -267,7 +264,7 @@ def macwilliams(we: WeightEnumerator, dim: int) -> WeightEnumerator:
     return WeightEnumerator(n, tuple(out))
 
 
-def min_weight(we: WeightEnumerator) -> Optional[int]:
+def min_weight(we: WeightEnumerator) -> int | None:
     """Smallest nonzero weight with a positive count; None for the zero code."""
     for d in range(1, we.n + 1):
         if we.coeffs[d]:

@@ -42,12 +42,10 @@ how many subsets fall in each class.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, combinations, compress
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
 from .errors import (
@@ -58,8 +56,8 @@ from .errors import (
     IndexSetError,
     RankError,
 )
-from .gf2 import (BitMatrix, SystematicForm, _insert, _reduce_in, permute_columns,
-                  rank, reduced_basis, systematic_form)
+from .gf2 import (BitMatrix, SystematicForm, _insert, _Record, _reduce_in, _set,
+                  permute_columns, rank, reduced_basis, systematic_form)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -112,19 +110,24 @@ def singular_count_formula(we: WeightEnumerator, k: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(_Record):
     """Outcome of the subset scan.  Set lists are None when not collected.
 
     ``bitmap`` holds the whole independent family: bit i is set exactly
     when the i-th k-subset in lexicographic order is independent.
     """
 
-    singular_count: int
-    full_rank_count: int
-    dependent_sets: Optional[tuple[SubsetIndex, ...]]
-    independent_sets: Optional[tuple[SubsetIndex, ...]]
-    bitmap: int
+    __slots__ = ("singular_count", "full_rank_count", "dependent_sets", "independent_sets",
+                 "bitmap")
+
+    def __init__(self, singular_count: int, full_rank_count: int,
+                 dependent_sets: tuple[SubsetIndex, ...] | None,
+                 independent_sets: tuple[SubsetIndex, ...] | None, bitmap: int) -> None:
+        _set(self, "singular_count", singular_count)
+        _set(self, "full_rank_count", full_rank_count)
+        _set(self, "dependent_sets", dependent_sets)
+        _set(self, "independent_sets", independent_sets)
+        _set(self, "bitmap", bitmap)
 
 
 _INDEPENDENT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -329,7 +332,7 @@ def brute_force_counts(
     *,
     budget: int = DEFAULT_BUDGET,
     collect_sets: bool = False,
-    set_limit: Optional[int] = None,
+    set_limit: int | None = None,
 ) -> BruteForceResult:
     """Classify every k-column subset of m by rank, as one bitmap.
 
@@ -616,8 +619,7 @@ def systematic_counts(
         yield value
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(_Record):
     """Full outcome of an analysis run.
 
     ``d_star`` is None only for the degenerate k = n case, where the
@@ -626,31 +628,35 @@ class CountReport:
     when collection was not requested.
     """
 
-    n: int
-    k: int
-    d_star: Optional[int]
-    condition_holds: bool
-    side: str
-    singular_count: int
-    full_rank_count: int
-    method: str
-    enumerator: WeightEnumerator
-    dependent_sets: Optional[tuple[SubsetIndex, ...]] = None
-    independent_sets: Optional[tuple[SubsetIndex, ...]] = None
+    __slots__ = ("n", "k", "d_star", "condition_holds", "side", "singular_count",
+                 "full_rank_count", "method", "enumerator", "dependent_sets", "independent_sets")
 
-    def __post_init__(self) -> None:
-        if self.side not in ("primal", "dual"):
-            raise ConsistencyError(f"unknown side {self.side!r}")
-        if self.method not in ("formula", "oracle", "both"):
-            raise ConsistencyError(f"unknown method {self.method!r}")
-        if self.singular_count + self.full_rank_count != comb(self.n, self.k):
+    def __init__(self, n: int, k: int, d_star: int | None, condition_holds: bool, side: str,
+                 singular_count: int, full_rank_count: int, method: str,
+                 enumerator: WeightEnumerator,
+                 dependent_sets: tuple[SubsetIndex, ...] | None = None,
+                 independent_sets: tuple[SubsetIndex, ...] | None = None) -> None:
+        if side not in ("primal", "dual"):
+            raise ConsistencyError(f"unknown side {side!r}")
+        if method not in ("formula", "oracle", "both"):
+            raise ConsistencyError(f"unknown method {method!r}")
+        if singular_count + full_rank_count != comb(n, k):
             raise ConsistencyError("counts do not sum to C(n, k)")
-        if self.dependent_sets is not None:
-            if len(self.dependent_sets) != self.singular_count:
-                raise ConsistencyError("dependent set list does not match its count")
-        if self.independent_sets is not None:
-            if len(self.independent_sets) != self.full_rank_count:
-                raise ConsistencyError("independent set list does not match its count")
+        if dependent_sets is not None and len(dependent_sets) != singular_count:
+            raise ConsistencyError("dependent set list does not match its count")
+        if independent_sets is not None and len(independent_sets) != full_rank_count:
+            raise ConsistencyError("independent set list does not match its count")
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "d_star", d_star)
+        _set(self, "condition_holds", condition_holds)
+        _set(self, "side", side)
+        _set(self, "singular_count", singular_count)
+        _set(self, "full_rank_count", full_rank_count)
+        _set(self, "method", method)
+        _set(self, "enumerator", enumerator)
+        _set(self, "dependent_sets", dependent_sets)
+        _set(self, "independent_sets", independent_sets)
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict; subset indices are shifted to 1-based."""
@@ -680,7 +686,7 @@ def analyze(
     *,
     budget: int = DEFAULT_BUDGET,
     collect_sets: bool = False,
-    set_limit: Optional[int] = None,
+    set_limit: int | None = None,
 ) -> CountReport:
     """Count invertible and singular k x k column selections of m.
 
@@ -735,7 +741,7 @@ def analyze(
             f"2 * {max(k, n - k)}; the formula may double count here"
         )
 
-    scan: Optional[BruteForceResult] = None
+    scan: BruteForceResult | None = None
 
     def scanned() -> int:
         nonlocal scan
@@ -777,7 +783,7 @@ def analyze(
 
 def complement_duality_check(
     g: SystematicForm,
-    h: Optional[BitMatrix] = None,
+    h: BitMatrix | None = None,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
@@ -806,7 +812,7 @@ def complement_duality_check(
     return _duality_holds(g, h, budget, _scanner(g.k, g.n, 1 + (2 * g.k == g.n)))
 
 
-def _duality_holds(g: SystematicForm, h: Optional[BitMatrix], budget: int,
+def _duality_holds(g: SystematicForm, h: BitMatrix | None, budget: int,
                    scan: Callable[[Sequence[int]], int]) -> bool:
     """``complement_duality_check`` with g scanned by ``scan`` (and h too where n = 2k)."""
     k, n = g.k, g.n
@@ -897,6 +903,8 @@ def _invariance_holds(m: BitMatrix, trials: int, seed: int, budget: int,
         )
     if (got := rank(m)) != k:
         raise RankError(f"matrix has rank {got}, full row rank {k} required")
+    import random  # loaded only by the row-op check
+
     base = scan(m.bits)
     rng = random.Random(seed)
     return all(scan(rows) == base for rows in _row_equivalents(m.bits, trials, rng))
@@ -905,7 +913,7 @@ def _invariance_holds(m: BitMatrix, trials: int, seed: int, budget: int,
 def verify_checks(
     m: BitMatrix,
     g: SystematicForm,
-    h: Optional[BitMatrix] = None,
+    h: BitMatrix | None = None,
     *,
     trials: int = 20,
     seed: int = 0,

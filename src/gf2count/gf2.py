@@ -12,14 +12,50 @@ n - 1 - j so that a word's leading bit is its first column; both
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from operator import attrgetter
 
 from .errors import DimensionError, FormatError, IndexSetError, RankError
 
+_set = object.__setattr__  # how a record's __init__ fills its fields
 
-@dataclass(frozen=True)
-class BitMatrix:
+
+class _Record:
+    """Base of the package's value records: slotted, immutable, compared by value.
+
+    A subclass names its fields in ``__slots__`` and fills them with
+    ``_set`` in its own ``__init__``.  Two records are equal when they
+    are of one class with equal fields; a record hashes by its fields,
+    and assigning or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)  # record -> tuple of its fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._fields(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def _frozen(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self) -> tuple:  # pickle and copy would set the slots
+        return type(self), self._fields(self)
+
+
+class BitMatrix(_Record):
     """Immutable binary matrix with int-packed rows.
 
     ``bits[i]`` is row i; bit j of that int is the entry in column j.
@@ -27,21 +63,20 @@ class BitMatrix:
     [n, n] code) are allowed; text parsing is stricter.
     """
 
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
+    __slots__ = ("rows", "cols", "bits")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionError(f"bad shape {self.rows} x {self.cols}")
-        if len(self.bits) != self.rows:
-            raise DimensionError(
-                f"expected {self.rows} packed rows, got {len(self.bits)}"
-            )
-        mask = (1 << self.cols) - 1
-        for i, r in enumerate(self.bits):
+    def __init__(self, rows: int, cols: int, bits: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
+            raise DimensionError(f"bad shape {rows} x {cols}")
+        if len(bits) != rows:
+            raise DimensionError(f"expected {rows} packed rows, got {len(bits)}")
+        mask = (1 << cols) - 1
+        for i, r in enumerate(bits):
             if r < 0 or r & ~mask:
-                raise DimensionError(f"row {i} has bits outside {self.cols} columns")
+                raise DimensionError(f"row {i} has bits outside {cols} columns")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "bits", bits)
 
     @classmethod
     def from_lists(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
@@ -129,8 +164,7 @@ def rank(m: BitMatrix) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class SystematicForm:
+class SystematicForm(_Record):
     """Result of reducing a full-row-rank matrix to [I | P].
 
     ``matrix`` is the reduced matrix with the identity in the first k
@@ -139,8 +173,11 @@ class SystematicForm:
     k columns of the input were already independent.
     """
 
-    matrix: BitMatrix
-    col_perm: tuple[int, ...]
+    __slots__ = ("matrix", "col_perm")
+
+    def __init__(self, matrix: BitMatrix, col_perm: tuple[int, ...]) -> None:
+        _set(self, "matrix", matrix)
+        _set(self, "col_perm", col_perm)
 
     @property
     def k(self) -> int:
@@ -157,7 +194,7 @@ class SystematicForm:
         return BitMatrix(k, self.n - k, shifted)
 
 
-def _reduce_in(basis: tuple[int, ...], w: int) -> Optional[tuple[int, ...]]:
+def _reduce_in(basis: tuple[int, ...], w: int) -> tuple[int, ...] | None:
     """Add w to a fully reduced basis in descending order; None if w is in its span."""
     for b in basis:
         if w ^ b < w:  # w holds b's leading bit, which no other word holds

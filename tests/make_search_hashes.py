@@ -1,14 +1,19 @@
-"""Write search_hashes.json: the pinned output bytes of ``gf2count search`` calls.
+"""Write search_hashes.json: the pinned output bytes of ``gf2count`` calls.
 
-Run from the repository root, with the package to pin on the path:
+Run from any directory, with the package to pin on the path:
 
     PYTHONPATH=src python tests/make_search_hashes.py
 
 Each entry holds a call's argv, its exit code and the SHA-256 of its
-stdout and stderr, made in-process through ``cli.main``.
-``test_cli.test_search_output_bytes_are_pinned`` replays them.  Regenerate
-the file only when a change alters search's output on purpose, and list
-every call whose entry changed.
+stdout and stderr, made in-process through ``cli.main`` from the
+repository root, so fixture paths are relative and appear in messages
+as written.  The calls cover ``search`` (sampled, exhaustive, over
+budget) and ``count``, ``weights``, ``sets`` and ``verify`` on the
+fixtures, usage errors, rank-deficient input and small budgets
+included.  ``test_cli.test_search_output_bytes_are_pinned`` and
+``test_cli.test_command_output_bytes_are_pinned`` replay them.
+Regenerate the file only when a change alters output on purpose, and
+list every call whose entry changed.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -23,9 +29,16 @@ from pathlib import Path
 from gf2count.cli import main
 
 HASHES = Path(__file__).with_name("search_hashes.json")
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ("g_7_4", "g_7_4_systematic", "h_7_4", "effdist_3_6", "g_10_7",
+            "g_10_7_systematic", "g_15_11", "rank_2_3_6")
 
 
-def _argvs() -> list[list[str]]:
+def _fixture(name: str) -> str:
+    return f"tests/fixtures/{name}.txt"
+
+
+def _search_argvs() -> list[list[str]]:
     calls = []
     for k, n in ((3, 8), (4, 10), (5, 10), (4, 6)):
         shape = ["search", "--k", str(k), "--n", str(n)]
@@ -52,14 +65,71 @@ def _argvs() -> list[list[str]]:
     return calls
 
 
+def _command_argvs() -> list[list[str]]:
+    calls = []
+    g74, h74, g107 = _fixture("g_7_4"), _fixture("h_7_4"), _fixture("g_10_7")
+    for name in FIXTURES:
+        path = _fixture(name)
+        for form in ("text", "json"):
+            for mode in ("auto", "formula", "oracle", "both"):
+                calls.append(["count", path, "--mode", mode, "--format", form])
+            for extra in ([], ["--dual"]):
+                calls.append(["weights", path, *extra, "--format", form])
+            calls.append(["sets", path, "--format", form])
+        calls.append(["verify", path, "--trials", "3"])
+    for path in (g74, h74, g107, _fixture("effdist_3_6")):
+        for form in ("text", "json"):
+            calls.append(["count", path, "--list-sets", "--format", form])
+    for path in (g74, g107):
+        for limit in ("0", "7", "60"):
+            calls.append(["count", path, "--list-sets", "--set-limit", limit])
+            calls.append(["sets", path, "--set-limit", limit, "--format", "json"])
+    calls.append(["count", g107, "--mode", "both", "--list-sets", "--set-limit", "60",
+                  "--format", "json"])
+    for dual in ([], [h74]):
+        for trials in ("0", "3"):
+            for form in ("text", "json"):
+                calls.append(["verify", g74, *dual, "--trials", trials, "--format", form])
+    calls.append(["verify", _fixture("g_7_4_systematic"), h74, "--trials", "3"])
+    calls.append(["verify", g74, "--trials", "3", "--seed", "5", "--format", "json"])
+    calls.append(["verify", g74])  # 20 trials by default
+    calls.append(["verify", g74, g107, "--trials", "3"])  # wrong shape: exit 7
+    calls.append(["verify", g74, _fixture("g_7_4_systematic"), "--trials", "3"])
+    # over budget: exit 6
+    calls.append(["count", _fixture("g_15_11"), "--mode", "oracle", "--budget", "100"])
+    calls.append(["count", _fixture("g_15_11"), "--mode", "both", "--budget", "100"])
+    calls.append(["count", g107, "--budget", "1"])
+    calls.append(["sets", g74, "--budget", "10"])
+    calls.append(["verify", g74, "--budget", "50"])
+    calls.append(["verify", g74, "--trials", "3", "--budget", "139"])
+    calls.append(["verify", g74, "--trials", "3", "--budget", "140"])
+    # usage errors: exit 2
+    calls.append(["count", g74, "--mode", "formula", "--list-sets"])
+    calls.append(["count", g74, "--budget", "0"])
+    calls.append(["count", g74, "--set-limit", "-1"])
+    calls.append(["sets", g74, "--threads", "-1"])
+    calls.append(["verify", g74, "--trials", "-1"])
+    calls.append(["weights", g74, "--budget", "5"])
+    calls.append(["count"])
+    return calls
+
+
+def _argvs() -> list[list[str]]:
+    return _search_argvs() + _command_argvs()
+
+
 def outcome(argv: list[str]) -> dict:
     """One call's exit code and the SHA-256 of its stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "exit": code,
             "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}

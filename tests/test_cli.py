@@ -515,12 +515,23 @@ def test_search_runs_no_count_pipeline(capsys, monkeypatch):
     assert out == expected[1]
 
 
+def changed_outputs(search: bool) -> list[str]:
+    """The argv of each pinned call, of search or of the other commands, whose
+    exit code or output hash changed (tests/make_search_hashes.py wrote them)."""
+    return [" ".join(entry["argv"]) for entry in json.loads(HASHES.read_text())
+            if (entry["argv"][0] == "search") == search and outcome(entry["argv"]) != entry]
+
+
 def test_search_output_bytes_are_pinned():
-    # exit codes and output hashes of sampled, exhaustive and over-budget calls,
-    # written by tests/make_search_hashes.py
-    changed = [" ".join(entry["argv"]) for entry in json.loads(HASHES.read_text())
-               if outcome(entry["argv"]) != entry]
+    # sampled, exhaustive and over-budget calls
+    changed = changed_outputs(search=True)
     assert not changed, "search output changed for:\n" + "\n".join(changed)
+
+
+def test_command_output_bytes_are_pinned():
+    # count, weights, sets and verify on the fixtures, exits 2 and 4 to 7 included
+    changed = changed_outputs(search=False)
+    assert not changed, "output changed for:\n" + "\n".join(changed)
 
 
 def test_search_bad_shape(capsys):

@@ -2,7 +2,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -14,6 +13,7 @@ from conftest import identity, load_fixture, random_full_rank
 from gf2count import counting
 from gf2count import (
     BitMatrix,
+    BruteForceResult,
     BudgetError,
     ConditionError,
     ConsistencyError,
@@ -1179,7 +1179,8 @@ def test_both_mode_checks_the_formula_against_the_scan(g74, monkeypatch):
 
     def one_more_dependent(m, **kwargs):
         res = scan(m, **kwargs)
-        return replace(res, singular_count=res.singular_count + 1)
+        return BruteForceResult(res.singular_count + 1, res.full_rank_count,
+                                res.dependent_sets, res.independent_sets, res.bitmap)
 
     monkeypatch.setattr(counting, "brute_force_counts", one_more_dependent)
     with pytest.raises(ConsistencyError, match="formula gives D=7 but the scan found D=8"):

@@ -10,10 +10,13 @@ acceptance tests.  The third requires ``cli`` to import no name with a
 leading underscore from the package, so the front end uses only what
 the other modules offer.  The fourth requires ``__init__.py`` to import
 exactly the names listed in ``__all__``, since each is written in both
-places.
+places.  The last run commands in a fresh interpreter and require the
+package to load no module that the command does not use.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,37 @@ def test_package_imports_exactly_its_public_names():
         for alias in node.names
     ]
     assert sorted(imported) == sorted(gf2count.__all__)
+
+
+# dataclasses and what it pulls in, typing, and random, which only sampled search and verify use
+NOT_LOADED_BY_COUNT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random")
+
+
+def modules_loaded_by(argv: list[str]) -> set[str]:
+    """sys.modules after ``cli.main(argv)`` in a fresh ``python -I -S``, src on its path."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "from gf2count import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, *sorted(sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *names = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    return set(names)
+
+
+def test_count_loads_neither_dataclasses_nor_typing_nor_random():
+    loaded = modules_loaded_by(["count", str(TESTS / "fixtures" / "g_7_4.txt"),
+                                "--format", "json"])
+    assert "gf2count.counting" in loaded and "json" in loaded
+    assert sorted(loaded.intersection(NOT_LOADED_BY_COUNT)) == []
+
+
+def test_text_weights_loads_no_json():
+    loaded = modules_loaded_by(["weights", str(TESTS / "fixtures" / "g_7_4.txt")])
+    assert "gf2count.codes" in loaded
+    assert sorted(loaded.intersection(NOT_LOADED_BY_COUNT + ("json",))) == []
