@@ -17,10 +17,12 @@ space that vanishes on the prefix.  The scan walks depth first, each
 call returning its run of a lexicographic bitmap of the independent
 subsets as an int; where a cost rule says so it closes a state at once,
 as the AND over the subcode's nonzero words of the lanes that meet each
-word's support, read a chunk of columns at a time from tables of ORs.
-One scanner serves any number of k x n row sets, deciding each state
-shape and building a closing one's tables once, in a table that ends
-with the call that made it (for a ``verify``, ``verify_checks``).  The DP restricts the subcode to the later columns,
+word's support, read a chunk of columns at a time from tables of ORs,
+skipping the words too heavy to miss any completion.  One scanner serves
+any number of k x n row sets, deciding each state shape and building a
+closing one's tables once, in a table that ends with the call that made
+it (for a ``verify``, ``verify_checks``, whose two sides also share one
+store of lane rows).  The DP restricts the subcode to the later columns,
 counts the prefixes that share it together and finishes a subcode of
 at most three words in closed form, so a four-word start walks as one
 chain of states.  Its one entry, ``_walk``, starts from
@@ -62,6 +64,7 @@ from .gf2 import (BitMatrix, SystematicForm, _insert, _Record, _reduce_in, _set,
 DEFAULT_BUDGET = 10_000_000
 
 SubsetIndex = tuple[int, ...]
+LaneRows = dict[tuple[int, int], list[int]]  # the scan's mask rows H(m, r), by (m, r)
 
 
 def condition_check(d_star: int, k: int, n: int) -> bool:
@@ -183,7 +186,8 @@ def _closes(m: int, rem: int, k: int, n: int, scans: int) -> int:
     return width
 
 
-def _scanner(k: int, n: int, scans: int = 1) -> Callable[[Sequence[int]], int]:
+def _scanner(k: int, n: int, scans: int = 1,
+             lane_rows: LaneRows | None = None) -> Callable[[Sequence[int]], int]:
     """Bitmap of the independent k-subsets of columns 0..n-1, for any set of k rows.
 
     Bit i is set exactly when the i-th k-subset in lexicographic order
@@ -197,17 +201,23 @@ def _scanner(k: int, n: int, scans: int = 1) -> Callable[[Sequence[int]], int]:
     every nonzero word of the span (every cocircuit).  A closed state is
     the AND over those words w of the OR of the masks H(m, rem)[c] over
     the later columns c in w, H(m, r)[c] the lanes of the lexicographic
-    r-subsets of m columns that hold column c.  The masks come in chunks
-    of c columns, each with a table of the ORs of every subset of its
-    masks (Four Russians), so a word, one XOR of a basis word and an
-    earlier word shifted down by start, is ORed in one lookup per chunk.
-    The rule above ``_CLOSE_MAX_TABLE_BITS`` (``_closes``) decides a shape
-    (m, rem), and its width c, where a walk first reaches it, and a closing
-    shape's tables are built then, one OR an entry, from H, whose rows
-    come by Pascal's rule from rows of m - 1: H(m, r)[0] is the low
-    C(m - 1, r - 1) lanes and H(m, r)[c] = H(m - 1, r - 1)[c - 1] |
-    H(m - 1, r)[c - 1] << C(m - 1, r - 1).  Every row set scanned shares
-    that table; ``scans``, how many the caller means, weighs its build.
+    r-subsets of m columns that hold column c.  A word of weight above
+    m - rem over the later columns meets every rem-subset of them, so its
+    OR is every lane and the AND runs over the words of weight at most
+    m - rem alone.  The masks come in chunks of c columns, each with a
+    table of the ORs of every subset of its masks (Four Russians), so a
+    word, one XOR of a basis word and an earlier word shifted down by
+    start, is ORed in one lookup per chunk.  The rule above
+    ``_CLOSE_MAX_TABLE_BITS`` (``_closes``) decides a shape (m, rem), and
+    its width c, where a walk first reaches it, and a closing shape's
+    tables are built then, one OR an entry, from H, whose rows come by
+    Pascal's rule from rows of m - 1: H(m, r)[0] is the low C(m - 1, r - 1)
+    lanes and H(m, r)[c] = H(m - 1, r - 1)[c - 1] | H(m - 1, r)[c - 1] <<
+    C(m - 1, r - 1).  Every row set scanned shares those tables; ``scans``,
+    how many the caller means, weighs their build.  The rows H(m, r) depend
+    on the shape alone and are kept in ``lane_rows``, keyed by (m, r), which
+    a caller may hand to scanners of other row counts so that each row is
+    built once among them.
     Other states branch: column x extends A when a basis word has bit x,
     so the OR of the basis lists the next columns and no dependent prefix
     is visited; taking x clears bit x with the first word that has it
@@ -225,17 +235,18 @@ def _scanner(k: int, n: int, scans: int = 1) -> Callable[[Sequence[int]], int]:
     pair = binom[2]
     # table[rem][start] holds (c, the OR tables of H(n - start, rem) in chunks of c)
     # if a state of rem words from column start closes, else (), and None before a
-    # walk first reaches one; table[~r][m - r] is the row H(m, r), where m - r <= n - k.
-    table: list[list] = [[None] * (n + 1) for _ in range(k + 1)] + [
-        [None] * (n - k + 1) for _ in range(k + 1)]
+    # walk first reaches one
+    table: list[list] = [[None] * (n + 1) for _ in range(k + 1)]
+    if lane_rows is None:
+        lane_rows = {}
 
     def lanes(m: int, r: int) -> list[int]:
         if not 0 < r < m:
             return [min(r, 1)] * m
-        row = table[~r][m - r]
+        row = lane_rows.get((m, r))
         if row is None:
             low = binom[r - 1][m - 1]
-            row = table[~r][m - r] = [(1 << low) - 1] + [
+            row = lane_rows[m, r] = [(1 << low) - 1] + [
                 a | b << low for a, b in zip(lanes(m - 1, r - 1), lanes(m - 1, r))]
         return row
 
@@ -265,8 +276,11 @@ def _scanner(k: int, n: int, scans: int = 1) -> Callable[[Sequence[int]], int]:
             for w in basis:
                 w >>= start
                 words += [w, *[v ^ w for v in words]]
+            light = n - start - rem  # a heavier word meets every completion
             block = (1 << size) - 1
             for w in words:
+                if w.bit_count() > light:
+                    continue
                 run = 0
                 for ors in held:
                     run |= ors[w & low_bits]
@@ -809,12 +823,20 @@ def complement_duality_check(
         RankError: h is rank deficient.
         BudgetError: the two scans together exceed the budget.
     """
-    return _duality_holds(g, h, budget, _scanner(g.k, g.n, 1 + (2 * g.k == g.n)))
+    lane_rows: LaneRows = {}
+    return _duality_holds(g, h, budget, _scanner(g.k, g.n, 1 + (2 * g.k == g.n), lane_rows),
+                          lane_rows)
 
 
 def _duality_holds(g: SystematicForm, h: BitMatrix | None, budget: int,
-                   scan: Callable[[Sequence[int]], int]) -> bool:
-    """``complement_duality_check`` with g scanned by ``scan`` (and h too where n = 2k)."""
+                   scan: Callable[[Sequence[int]], int],
+                   lane_rows: LaneRows) -> bool:
+    """``complement_duality_check`` with g scanned by ``scan`` (and h too where n = 2k).
+
+    Where k < n - k, h goes through its own (n - k)-row scanner, as given,
+    which takes its lane rows from ``lane_rows``, the store ``scan`` was
+    made with, so no row H(m, r) is built twice.
+    """
     k, n = g.k, g.n
     if h is None:
         h = dual_of(g)
@@ -834,7 +856,9 @@ def _duality_holds(g: SystematicForm, h: BitMatrix | None, budget: int,
     expected = _reversed(scan(g.matrix.bits), comb(n, k))  # h's bitmap, by duality
     if k > n - k:  # h has fewer rows, so brute_force_counts scans it as given
         return brute_force_counts(h, budget=budget).bitmap == expected
-    return (scan if 2 * k == n else _scanner(n - k, n))(h.bits) == expected  # h as given
+    if 2 * k < n:
+        scan = _scanner(n - k, n, 1, lane_rows)
+    return scan(h.bits) == expected  # h as given
 
 
 def _row_equivalents(rows: Sequence[int], trials: int,
@@ -843,10 +867,15 @@ def _row_equivalents(rows: Sequence[int], trials: int,
 
     A variant is k..3k operations, each uniform over the 2k(k - 1) swaps and
     adds of a row j != i into row i, all drawn as one number read base
-    2k(k - 1), low digit first: digit d swaps (odd d) or adds pair d // 2.
+    2k(k - 1), low digit first: digit d swaps (odd d) or adds pair d // 2,
+    looked up in a table of (i, j, swap) made once a call.
     """
     k = len(rows)
     ops = 2 * k * (k - 1)
+    decode = []
+    for d in range(ops):
+        i, j = divmod(d >> 1, k - 1)
+        decode.append((i, j + (j >= i), d & 1))
     for _ in range(trials):
         work = list(rows)
         if k > 1:
@@ -854,9 +883,8 @@ def _row_equivalents(rows: Sequence[int], trials: int,
             seq = rng.randrange(ops ** steps)
             for _ in range(steps):
                 seq, d = divmod(seq, ops)
-                i, j = divmod(d >> 1, k - 1)
-                j += j >= i
-                if d & 1:
+                i, j, swap = decode[d]
+                if swap:
                     work[i], work[j] = work[j], work[i]
                 else:
                     work[i] ^= work[j]
@@ -925,14 +953,18 @@ def verify_checks(
     fails the dual pairing too when it rejects h; then comes
     ``row_op_invariance_check(m, trials, seed=seed)``.  Every k x n row set
     (g, m and the variants, and h where n = 2k) goes through one scanner,
-    so each shape's tables are built once.  Raises BudgetError as they do.
+    so each shape's tables are built once, and where k < n - k h's
+    (n - k)-row scanner shares its store of lane rows, so a ``verify``
+    builds each row H(m, r) once for both sides.  Raises BudgetError as
+    they do.
     """
     k, n = g.k, g.n
-    scan = _scanner(k, n, trials + 2 + (2 * k == n))
+    lane_rows: LaneRows = {}
+    scan = _scanner(k, n, trials + 2 + (2 * k == n), lane_rows)
     try:
         # the scans run in systematic column order, so align a supplied dual to it
         aligned = None if h is None else permute_columns(h, g.col_perm)
-        duality = _duality_holds(g, aligned, budget, scan)
+        duality = _duality_holds(g, aligned, budget, scan, lane_rows)
         pairing = True
     except (DimensionError, IndexSetError, ConsistencyError, RankError):
         pairing = duality = False

@@ -107,7 +107,11 @@ class BitMatrix(_Record):
         return tuple(out)
 
     def to_lines(self) -> list[str]:
-        return ["".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.bits]
+        """Each row as 0/1 text, column 0 first."""
+        if not self.cols:
+            return [""] * self.rows
+        spec = f"0{self.cols}b"
+        return [format(r, spec)[::-1] for r in self.bits]
 
     def __str__(self) -> str:
         return "\n".join(self.to_lines())
@@ -118,31 +122,25 @@ def parse_matrix(text: str) -> BitMatrix:
 
     One row per line, characters '0' and '1'.  Whitespace inside a row is
     ignored, as are blank lines and lines whose first non-space character
-    is '#'.  Ragged or empty input raises FormatError.
+    is '#'.  Ragged or empty input raises FormatError, as does a row with
+    any other character, naming the first.
     """
     packed: list[int] = []
     cols = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        row = "".join(raw.split())
+        if not row or row[0] == "#":
             continue
-        acc = 0
-        width = 0
-        for ch in raw:
-            if ch.isspace():
-                continue
-            if ch == "1":
-                acc |= 1 << width
-            elif ch != "0":
-                raise FormatError(f"line {lineno}: unexpected character {ch!r}")
-            width += 1
+        if row.strip("01"):
+            bad = next(ch for ch in row if ch not in "01")
+            raise FormatError(f"line {lineno}: unexpected character {bad!r}")
         if cols == -1:
-            cols = width
-        elif width != cols:
+            cols = len(row)
+        elif len(row) != cols:
             raise FormatError(
-                f"line {lineno}: row has {width} entries, previous rows have {cols}"
+                f"line {lineno}: row has {len(row)} entries, previous rows have {cols}"
             )
-        packed.append(acc)
+        packed.append(int(row[::-1], 2))
     if not packed:
         raise FormatError("no matrix rows found")
     return BitMatrix(len(packed), cols, tuple(packed))

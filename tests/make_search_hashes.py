@@ -10,8 +10,13 @@ repository root, so fixture paths are relative and appear in messages
 as written.  The calls cover ``search`` (sampled, exhaustive, over
 budget) and ``count``, ``weights``, ``sets`` and ``verify`` on the
 fixtures, usage errors, rank-deficient input and small budgets
-included.  ``test_cli.test_search_output_bytes_are_pinned`` and
-``test_cli.test_command_output_bytes_are_pinned`` replay them.
+included.  A seeded random corpus (``corpus``: 4 x 10 to 9 x 22, zero
+and repeated columns and shapes with k > n - k among them) adds
+``sets``, ``count --list-sets`` and ``verify`` calls on matrices written
+to a scratch directory, named there by relative paths, so no absolute
+path enters the output.  ``test_cli.test_search_output_bytes_are_pinned``,
+``test_cli.test_command_output_bytes_are_pinned`` and
+``test_cli.test_corpus_output_bytes_are_pinned`` replay them.
 Regenerate the file only when a change alters output on purpose, and
 list every call whose entry changed.
 """
@@ -22,10 +27,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
+from gf2count import parse_matrix, rank
 from gf2count.cli import main
 
 HASHES = Path(__file__).with_name("search_hashes.json")
@@ -118,18 +127,76 @@ def _argvs() -> list[list[str]]:
     return _search_argvs() + _command_argvs()
 
 
-def outcome(argv: list[str]) -> dict:
-    """One call's exit code and the SHA-256 of its stdout and stderr."""
+CORPUS = "random"  # the corpus directory, relative to the calls' working directory
+# (k, n, columns zeroed, columns repeated): k < n - k, k = n - k and k > n - k
+CORPUS_SHAPES = (
+    (4, 10, 0, 0), (4, 12, 1, 0), (4, 16, 0, 2), (5, 10, 0, 0), (5, 12, 0, 1),
+    (5, 14, 2, 0), (5, 18, 0, 0), (6, 10, 0, 0), (6, 12, 1, 1), (6, 14, 0, 0),
+    (6, 14, 1, 0), (6, 14, 0, 3), (6, 16, 0, 0), (6, 20, 1, 2), (7, 11, 0, 1),
+    (7, 12, 0, 0), (7, 14, 0, 0), (7, 16, 0, 0), (7, 16, 2, 0), (7, 16, 0, 2),
+    (7, 18, 0, 0), (8, 13, 1, 0), (8, 16, 0, 0), (8, 19, 0, 0), (8, 20, 1, 1),
+    (9, 14, 0, 0), (9, 15, 0, 2), (9, 18, 0, 0), (9, 20, 0, 0), (9, 22, 0, 0),
+)
+
+
+def corpus() -> dict[str, str]:
+    """The seeded random matrices, relative file name to text, one per CORPUS_SHAPES entry.
+
+    Each is drawn until it has full row rank, with its zeroed columns
+    cleared and each repeated column a copy of a column left as drawn.
+    """
+    rng = random.Random(28)
+    files = {}
+    for i, (k, n, zeros, repeats) in enumerate(CORPUS_SHAPES):
+        while True:
+            cols = [rng.getrandbits(k) for _ in range(n)]
+            picked = rng.sample(range(n), zeros + repeats)
+            kept = [j for j in range(n) if j not in picked]
+            for j in picked[:zeros]:
+                cols[j] = 0
+            for j in picked[zeros:]:
+                cols[j] = cols[rng.choice(kept)]
+            text = "".join("".join(str(c >> r & 1) for c in cols) + "\n" for r in range(k))
+            if rank(parse_matrix(text)) == k:
+                break
+        files[f"{CORPUS}/{i:02d}_{k}x{n}.txt"] = text
+    return files
+
+
+def _corpus_argvs() -> list[list[str]]:
+    calls = []
+    for (k, n, _, _), path in zip(CORPUS_SHAPES, corpus()):
+        limit = str(min(comb(n, k) // 2, 2000))  # at most one list of at most 2,000 printed
+        calls.append(["sets", path, "--format", "json"] if comb(n, k) <= 2000
+                     else ["sets", path, "--set-limit", limit, "--format", "json"])
+        calls.append(["count", path, "--list-sets", "--set-limit", limit, "--format", "json"])
+        calls.append(["verify", path, "--format", "json", "--trials", "3"])
+    return calls
+
+
+def write_corpus(root: Path) -> None:
+    """Write ``corpus()`` under root, where the corpus calls run."""
+    (root / CORPUS).mkdir()
+    for name, text in corpus().items():
+        (root / name).write_text(text)
+
+
+def in_corpus(argv: list[str]) -> bool:
+    return len(argv) > 1 and argv[1].startswith(CORPUS + "/")
+
+
+def outcome(argv: list[str], cwd: Path = ROOT) -> dict:
+    """One call's exit code and the SHA-256 of its stdout and stderr, run in cwd."""
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
+    back = os.getcwd()
+    os.chdir(cwd)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     finally:
-        os.chdir(cwd)
+        os.chdir(back)
     return {"argv": argv, "exit": code,
             "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
@@ -137,5 +204,8 @@ def outcome(argv: list[str]) -> dict:
 
 if __name__ == "__main__":
     entries = [outcome(argv) for argv in _argvs()]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus(Path(tmp))
+        entries += [outcome(argv, Path(tmp)) for argv in _corpus_argvs()]
     HASHES.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {HASHES}", file=sys.stderr)

@@ -13,7 +13,7 @@ from gf2count import (
 )
 from gf2count.cli import DEFAULT_WITNESS_CAP, main
 from gf2count.errors import ConsistencyError, DimensionError
-from make_search_hashes import HASHES, outcome
+from make_search_hashes import HASHES, in_corpus, outcome, write_corpus
 
 G74 = fixture_path("g_7_4.txt")
 G74_SYS = fixture_path("g_7_4_systematic.txt")
@@ -516,10 +516,12 @@ def test_search_runs_no_count_pipeline(capsys, monkeypatch):
 
 
 def changed_outputs(search: bool) -> list[str]:
-    """The argv of each pinned call, of search or of the other commands, whose
-    exit code or output hash changed (tests/make_search_hashes.py wrote them)."""
+    """The argv of each pinned call on the fixtures, of search or of the other
+    commands, whose exit code or output hash changed (tests/make_search_hashes.py
+    wrote them)."""
     return [" ".join(entry["argv"]) for entry in json.loads(HASHES.read_text())
-            if (entry["argv"][0] == "search") == search and outcome(entry["argv"]) != entry]
+            if (entry["argv"][0] == "search") == search and not in_corpus(entry["argv"])
+            and outcome(entry["argv"]) != entry]
 
 
 def test_search_output_bytes_are_pinned():
@@ -531,6 +533,17 @@ def test_search_output_bytes_are_pinned():
 def test_command_output_bytes_are_pinned():
     # count, weights, sets and verify on the fixtures, exits 2 and 4 to 7 included
     changed = changed_outputs(search=False)
+    assert not changed, "output changed for:\n" + "\n".join(changed)
+
+
+def test_corpus_output_bytes_are_pinned(tmp_path):
+    # sets, count --list-sets and verify on seeded random matrices, run where
+    # the corpus is written so that no absolute path enters the output
+    write_corpus(tmp_path)
+    entries = [entry for entry in json.loads(HASHES.read_text()) if in_corpus(entry["argv"])]
+    assert len(entries) == 90
+    changed = [" ".join(entry["argv"]) for entry in entries
+               if outcome(entry["argv"], tmp_path) != entry]
     assert not changed, "output changed for:\n" + "\n".join(changed)
 
 

@@ -818,8 +818,8 @@ def test_verify_scans_each_side_as_given(monkeypatch):
     scanner = counting._scanner
     scanned = []
 
-    def spy(k, n, scans=1):
-        scan = scanner(k, n, scans)
+    def spy(k, n, scans=1, lane_rows=None):
+        scan = scanner(k, n, scans, lane_rows)
 
         def recorded(rows):
             scanned.append((k, len(rows)))
@@ -834,6 +834,47 @@ def test_verify_scans_each_side_as_given(monkeypatch):
         assert all(rows == shape for shape, rows in scanned)
         # g, m and the 20 variants on m's side, and the dual
         assert Counter(rows for _, rows in scanned) == {k: 22, n - k: 1}
+
+
+def test_verify_builds_each_lane_row_once_for_both_sides(monkeypatch):
+    # a default verify hands one store of Pascal lane rows H(m, r) to the k-row
+    # scanner and to the dual's (n - k)-row scanner, which build each row once
+    scanner = counting._scanner
+    stores = []  # (the store verify made, a recording stand-in for it)
+    built = []
+
+    class Recording(dict):
+        def __setitem__(self, key, row):
+            built.append(key)
+            super().__setitem__(key, row)
+
+    def spy(k, n, scans=1, lane_rows=None):
+        given = next((pair for pair in stores if pair[0] is lane_rows), None)
+        if given is None:
+            given = (lane_rows, Recording())
+            stores.append(given)
+        return scanner(k, n, scans, given[1])
+
+    monkeypatch.setattr(counting, "_scanner", spy)
+    for k, n in ((6, 14), (7, 16)):
+        stores.clear()
+        built.clear()
+        m = random_full_rank(k, n, seed=3)
+        assert all(ok for _, ok in counting.verify_checks(m, systematic_form(m)))
+        assert len(stores) == 1 and stores[0][0] is not None
+        assert built and Counter(built).most_common(1)[0][1] == 1
+        # the dual's scanner uses rows of more than k words, none of them rebuilt
+        assert max(r for _, r in built) > k
+
+
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, m), st.integers(0, (1 << m) - 1))))
+@settings(max_examples=200, deadline=None)
+def test_a_word_heavier_than_m_minus_rem_meets_every_completion(case):
+    # the scan's closed state leaves such a word out of its AND: its OR is every lane
+    m, rem, w = case
+    meets_all = all(any(w >> c & 1 for c in cols) for cols in combinations(range(m), rem))
+    assert meets_all == (w.bit_count() > m - rem)
 
 
 def _rows_of(cols: list[int], k: int) -> list[list[int]]:
@@ -1100,6 +1141,33 @@ def test_row_op_draw_decodes_each_digit_as_one_row_operation(k):
                 assert rng.calls == [(k, 3 * k + 1), (ops ** steps, None)]
 
 
+def _divmod_row_equivalents(rows, trials, rng):
+    """The row-op variants as first decoded: each digit read by divmod on the spot."""
+    k = len(rows)
+    ops = 2 * k * (k - 1)
+    for _ in range(trials):
+        work = list(rows)
+        if k > 1:
+            steps = rng.randrange(k, 3 * k + 1)
+            seq = rng.randrange(ops ** steps)
+            for _ in range(steps):
+                seq, d = divmod(seq, ops)
+                i, j = divmod(d >> 1, k - 1)
+                j += j >= i
+                if d & 1:
+                    work[i], work[j] = work[j], work[i]
+                else:
+                    work[i] ^= work[j]
+        yield work
+
+
+@pytest.mark.parametrize("k, seed", [(1, 0), (2, 1), (4, 2), (6, 3), (7, 4), (9, 5)])
+def test_row_op_lookup_draws_the_variants_of_the_divmod_decoding(k, seed):
+    rows = random_full_rank(k, 2 * k + 2, seed=seed).bits
+    assert (list(counting._row_equivalents(rows, 20, random.Random(seed)))
+            == list(_divmod_row_equivalents(rows, 20, random.Random(seed))))
+
+
 def test_row_op_draws_repeat_with_their_seed(g74):
     def variants(seed):
         return list(counting._row_equivalents(g74.bits, 20, random.Random(seed)))
@@ -1158,8 +1226,8 @@ def test_row_op_invariance_detects_a_changed_family(g74, monkeypatch):
 def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch):
     scanner = counting._scanner
 
-    def flip_on_dual(k, n, scans=1):
-        scan = scanner(k, n, scans)
+    def flip_on_dual(k, n, scans=1, lane_rows=None):
+        scan = scanner(k, n, scans, lane_rows)
         return (lambda rows: scan(rows) ^ 1) if k == 3 else scan
 
     sf = systematic_form(g74_sys)

@@ -42,18 +42,42 @@ def test_parse_ignores_comments_blanks_and_interior_whitespace():
 
 
 def test_parse_rejects_bad_character():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^line 1: unexpected character '2'$"):
         parse_matrix("102\n011")
+    # the first offending character, whitespace skipped; a zero-width space is none
+    with pytest.raises(FormatError, match="^line 3: unexpected character 'x'$"):
+        parse_matrix("10\n\n1 \tx2\n")
+    with pytest.raises(FormatError, match="^line 1: unexpected character '\\\\u200b'$"):
+        parse_matrix("1\u200b0")
 
 
 def test_parse_rejects_ragged_rows():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^line 2: row has 2 entries, previous rows have 3$"):
         parse_matrix("101\n01")
 
 
 def test_parse_rejects_empty_input():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^no matrix rows found$"):
         parse_matrix("# only a comment\n\n")
+
+
+def test_parse_rejects_an_empty_file():
+    with pytest.raises(FormatError, match="^no matrix rows found$"):
+        parse_matrix("")
+
+
+def test_parse_skips_unicode_whitespace():
+    # no-break, ideographic and em spaces are whitespace
+    assert parse_matrix("1\u00a00\u30001\n \u2003011\u3000\n") == parse_matrix("101\n011")
+
+
+def test_to_lines_reads_column_zero_first():
+    m = BitMatrix(3, 8, (0b10110110, 0b11, 0b10000001))
+    assert m.to_lines() == ["01101101", "11000000", "10000001"]
+    assert str(m) == "01101101\n11000000\n10000001"
+    # no columns: each row is empty text
+    assert BitMatrix(2, 0, (0, 0)).to_lines() == ["", ""]
+    assert BitMatrix(0, 3, ()).to_lines() == []
 
 
 def test_bitmatrix_rejects_out_of_range_bits():
