@@ -49,7 +49,7 @@ from .errors import (
     Gf2CountError,
     RankError,
 )
-from .gf2 import BitMatrix, parse_matrix, systematic_form
+from .gf2 import BitMatrix, full_rank_basis, parse_matrix, systematic_form
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -149,7 +149,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_weights(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
     if args.dual:
-        direct = weight_enumerator(dual_of(systematic_form(m)))
+        direct = weight_enumerator(dual_of(m))
         transformed = macwilliams(weight_enumerator(m), m.rows)
         if direct != transformed:
             raise ConsistencyError(
@@ -270,10 +270,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _read_matrix(args.matrix)
-    sf = systematic_form(m)
-    supplied = None if args.dual is None else _read_matrix(args.dual)
-    checks = verify_checks(m, sf, supplied, trials=args.trials, seed=args.seed,
-                           budget=args.budget)
+    h = None
+    if args.dual is not None:
+        full_rank_basis(m)  # m's rank (exit 4) is judged before the dual file is read
+        h = _read_matrix(args.dual)
+    checks = verify_checks(m, h, trials=args.trials, seed=args.seed, budget=args.budget)
     passed = all(ok for _, ok in checks)
     if args.format == "json":
         _emit_json({

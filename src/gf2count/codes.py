@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import BudgetError, ConsistencyError, DimensionError, RankError
-from .gf2 import BitMatrix, SystematicForm, _Record, _set, check_index_set, reduced_basis
+from .errors import BudgetError, ConsistencyError, DimensionError
+from .gf2 import BitMatrix, _Record, _set, check_index_set, full_rank_basis
 
 # Largest dimension enumerated by default.  Random dimension-28 codes took
 # 0.8-1.2 s at length 36 and 1.9-2.3 s at length 56 (2-vCPU Xeon, Python
@@ -74,7 +74,7 @@ class WeightEnumerator(_Record):
 def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
     """Weight distribution of the row space of gen, by direct enumeration.
 
-    The walk runs over ``reduced_basis(gen)``, whose columns are gen's
+    The walk runs over ``full_rank_basis(gen)``, whose columns are gen's
     reversed; weights do not depend on column order.  Small codes walk
     all 2^k codewords in Gray-code order, so each step is a single row
     XOR and a popcount.  Where ``_slices`` says so, _sliced_counts
@@ -91,9 +91,7 @@ def weight_enumerator(gen: BitMatrix) -> WeightEnumerator:
         BudgetError: k is over DEFAULT_MAX_ENUM_DIM.
     """
     k, n = gen.rows, gen.cols
-    basis = reduced_basis(gen)
-    if len(basis) != k:
-        raise RankError(f"matrix has rank {len(basis)}, full row rank {k} required")
+    basis, _ = full_rank_basis(gen)
     if k > DEFAULT_MAX_ENUM_DIM:
         raise BudgetError(
             f"enumerating 2^{k} codewords exceeds the dimension guard "
@@ -272,18 +270,28 @@ def min_weight(we: WeightEnumerator) -> int | None:
     return None
 
 
-def dual_of(g: SystematicForm) -> BitMatrix:
-    """Parity check matrix [P^T | I] for a systematic generator [I | P].
+def dual_of(m: BitMatrix) -> BitMatrix:
+    """Generator of the dual of m's row space, in m's own column order.
 
-    For k = n the parity block is empty and the result is a 0 x n
-    matrix, the generator of the trivial dual.
+    The rows are read off ``full_rank_basis(m)``: one for each non-pivot
+    column j, ascending, holding bit j and the pivot of every basis word
+    that holds j.  On a systematic [I | P] that is [P^T | I].  For k = n
+    every column is a pivot and the result is a 0 x n matrix, the
+    generator of the trivial dual.
+
+    Raises:
+        RankError: m does not have full row rank.
     """
-    k, n = g.k, g.n
-    if k == n:
-        return BitMatrix(0, n, ())
-    pcols = g.parity_block().column_ints()
-    rows = tuple(pcols[j] | (1 << (k + j)) for j in range(n - k))
-    return BitMatrix(n - k, n, rows)
+    k, n = m.rows, m.cols
+    basis, pivots = full_rank_basis(m)
+    rows = []
+    for j in sorted(set(range(n)).difference(pivots)):
+        row = 1 << j
+        for w, p in zip(basis, pivots):
+            if w >> (n - 1 - j) & 1:  # column j is at bit n - 1 - j
+                row |= 1 << p
+        rows.append(row)
+    return BitMatrix(n - k, n, tuple(rows))
 
 
 def effective_distance(p: BitMatrix, t_set: Sequence[int]) -> int:

@@ -29,12 +29,13 @@ chain of states.  Its one entry, ``_walk``, starts from
 ``gf2.reduced_basis`` and alone chooses the DP's column order.
 
 The DP and the scan are limited by one work budget, counted in visits
-to DP states of four or more words or in subsets scanned.  ``analyze``
-ties them together: it picks the cheaper side (code or dual) for the
-distribution, checks the distance condition, and runs its exact methods
-from one ordered list, the formula when it is valid and the DP when
-nothing else runs.  ``brute_force_counts`` scans the side with fewer
-rows.  ``systematic_counts`` scores ``search``'s candidates [I | P]: in
+to DP states of four or more words or in subsets scanned.  Every
+method and check takes the dual from ``codes.dual_of(m)``, in m's own
+column order.  ``analyze`` ties them together: it picks the cheaper side
+(code or dual) for the distribution, checks the distance condition, and
+runs its exact methods from one ordered list, the formula when it is
+valid and the DP when nothing else runs.  ``brute_force_counts`` scans
+the side with fewer rows.  ``systematic_counts`` scores ``search``'s candidates [I | P]: in
 closed form from the block's bits for k <= 3, else by one walk per
 multiset of P's columns, a single chain of states at k = 4.
 A subset is "dependent" when the selected columns form a singular k x k
@@ -50,16 +51,9 @@ from itertools import accumulate, combinations, compress
 from math import comb
 
 from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
-from .errors import (
-    BudgetError,
-    ConditionError,
-    ConsistencyError,
-    DimensionError,
-    IndexSetError,
-    RankError,
-)
-from .gf2 import (BitMatrix, SystematicForm, _insert, _Record, _reduce_in, _set,
-                  permute_columns, rank, reduced_basis, systematic_form)
+from .errors import BudgetError, ConditionError, ConsistencyError, DimensionError, RankError
+from .gf2 import (BitMatrix, _insert, _Record, _reduce_in, _set, full_rank_basis,
+                  permute_columns, rank, reduced_basis)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -353,9 +347,9 @@ def brute_force_counts(
     A depth-first walk over column prefixes (``_scanner``) marks the
     independent subsets in lexicographic order, closing some states as
     one AND over their subcode's nonzero words.  It walks the side with
-    fewer rows, to depth min(k, n - k): where k > n - k it scans the dual
-    in m's column order and reverses its bits, as a subset is a basis
-    exactly when its complement is one of the dual.  The counts are the
+    fewer rows, to depth min(k, n - k): where k > n - k it scans
+    ``dual_of(m)``, in m's column order, and reverses its bits, as a
+    subset is a basis exactly when its complement is one of the dual.  The counts are the
     bitmap's population and its complement, and collected lists are
     decoded from it in the same order, so they are deterministic.
 
@@ -378,10 +372,8 @@ def brute_force_counts(
     if total > budget:
         raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
 
-    if k > n - k:  # scan the dual in m's column order; complements reverse the order
-        sf = systematic_form(m)
-        h = permute_columns(dual_of(sf), sorted(range(n), key=sf.col_perm.__getitem__))
-        bitmap = _reversed(_scanner(n - k, n)(h.bits), total)
+    if k > n - k:  # scan the dual, in m's column order; complements reverse the order
+        bitmap = _reversed(_scanner(n - k, n)(dual_of(m).bits), total)
     else:
         bitmap = _scanner(k, n)(m.bits)
     independent = bitmap.bit_count()
@@ -708,9 +700,9 @@ def analyze(
     dual has smaller dimension: the code itself when k < n - k, else the
     dual.  Counting k-subsets of the matrix is equivalent to counting
     (n - k)-subsets on the dual side because a selection is invertible
-    exactly when its complement is invertible for the dual.  Only the
-    dual side reduces m to systematic form, to write down a dual
-    generator; the DP orders either side's columns itself.
+    exactly when its complement is invertible for the dual.  The dual
+    side's generator is ``dual_of(m)``, in m's column order; the DP
+    orders either side's columns itself.
 
     Modes:
         auto: formula when the distance condition holds, otherwise the subset DP.
@@ -743,8 +735,8 @@ def analyze(
     k, n = m.rows, m.cols
     total = comb(n, k)
     side = "primal" if k < n - k else "dual"
-    # weight_enumerator checks the rank on the primal side, systematic_form on the dual
-    gen = m if side == "primal" else dual_of(systematic_form(m))
+    # weight_enumerator checks the rank on the primal side, dual_of on the dual
+    gen = m if side == "primal" else dual_of(m)
     we = weight_enumerator(gen)
     d_star = min_weight(we)
     holds = True if d_star is None else condition_check(d_star, k, n)
@@ -796,55 +788,62 @@ def analyze(
 
 
 def complement_duality_check(
-    g: SystematicForm,
+    m: BitMatrix,
     h: BitMatrix | None = None,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Scan both sides and verify the complement correspondence.
 
-    A k-subset of the generator columns is independent exactly when its
+    A k-subset of m's columns is independent exactly when its
     complement is an independent (n - k)-subset of the dual generator's
     columns.  Complementing reverses lexicographic order: if x is the
     smallest element of A xor B and x is in A, then x is in the
-    complement of B.  So the dual's bitmap must equal the generator's
-    bitmap read backwards over C(n, k) bits.
+    complement of B.  So the dual's bitmap must equal m's bitmap read
+    backwards over C(n, k) bits.
 
     Args:
-        g: systematic form of the matrix under test.
-        h: generator of the dual, in the column order of g.matrix;
-            derived from g when omitted.  h, supplied or derived, is
-            judged here before any scan: it must be (n - k) x n, every
-            row must be orthogonal to every row of g, and full rank.
+        m: k x n matrix with full row rank, scanned as given.
+        h: generator of the dual, in m's column order, used as given;
+            ``dual_of(m)`` when omitted.  h, supplied or derived, is
+            judged against m before any scan: it must be (n - k) x n,
+            every row must be orthogonal to every row of m, and full rank.
 
     Raises:
+        RankError: m is rank deficient (judged first), or h is.
         DimensionError: h has the wrong number of columns or rows.
         ConsistencyError: a row of h is not orthogonal to the code.
-        RankError: h is rank deficient.
         BudgetError: the two scans together exceed the budget.
     """
     lane_rows: LaneRows = {}
-    return _duality_holds(g, h, budget, _scanner(g.k, g.n, 1 + (2 * g.k == g.n), lane_rows),
+    return _duality_holds(m, _dual_for(m, h), budget,
+                          _scanner(m.rows, m.cols, 1 + (2 * m.rows == m.cols), lane_rows),
                           lane_rows)
 
 
-def _duality_holds(g: SystematicForm, h: BitMatrix | None, budget: int,
+def _dual_for(m: BitMatrix, h: BitMatrix | None) -> BitMatrix:
+    """h, or ``dual_of(m)`` when omitted, once m's full row rank is judged."""
+    if h is None:
+        return dual_of(m)
+    full_rank_basis(m)
+    return h
+
+
+def _duality_holds(m: BitMatrix, h: BitMatrix, budget: int,
                    scan: Callable[[Sequence[int]], int],
                    lane_rows: LaneRows) -> bool:
-    """``complement_duality_check`` with g scanned by ``scan`` (and h too where n = 2k).
+    """``complement_duality_check`` with m scanned by ``scan`` (and h too where n = 2k).
 
-    Where k < n - k, h goes through its own (n - k)-row scanner, as given,
-    which takes its lane rows from ``lane_rows``, the store ``scan`` was
-    made with, so no row H(m, r) is built twice.
+    Where k < n - k, h goes through its own (n - k)-row scanner, as
+    given, which takes its lane rows from ``lane_rows``, the store
+    ``scan`` was made with, so no row H(m, r) is built twice.
     """
-    k, n = g.k, g.n
-    if h is None:
-        h = dual_of(g)
+    k, n = m.rows, m.cols
     if h.cols != n:
         raise DimensionError(f"dual generator has {h.cols} columns, expected {n}")
     elif h.rows != n - k:
         raise DimensionError(f"dual generator has {h.rows} rows, expected {n - k}")
-    elif any((a & b).bit_count() & 1 for a in g.matrix.bits for b in h.bits):
+    elif any((a & b).bit_count() & 1 for a in m.bits for b in h.bits):
         raise ConsistencyError("rows of h are not orthogonal to the code")
     elif rank(h) != n - k:
         raise RankError("dual generator is rank deficient")
@@ -853,7 +852,7 @@ def _duality_holds(g: SystematicForm, h: BitMatrix | None, budget: int,
             f"scanning both sides needs {comb(n, k) + comb(n, n - k)} subsets, "
             f"over budget {budget}"
         )
-    expected = _reversed(scan(g.matrix.bits), comb(n, k))  # h's bitmap, by duality
+    expected = _reversed(scan(m.bits), comb(n, k))  # h's bitmap, by duality
     if k > n - k:  # h has fewer rows, so brute_force_counts scans it as given
         return brute_force_counts(h, budget=budget).bitmap == expected
     if 2 * k < n:
@@ -940,33 +939,33 @@ def _invariance_holds(m: BitMatrix, trials: int, seed: int, budget: int,
 
 def verify_checks(
     m: BitMatrix,
-    g: SystematicForm,
     h: BitMatrix | None = None,
     *,
     trials: int = 20,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[str, bool]]:
-    """``verify``'s checks of m, whose systematic form is g, as (name, passed) pairs.
+    """``verify``'s checks of m, as (name, passed) pairs.
 
-    ``complement_duality_check(g, h)``, h in m's column order or derived,
-    fails the dual pairing too when it rejects h; then comes
-    ``row_op_invariance_check(m, trials, seed=seed)``.  Every k x n row set
-    (g, m and the variants, and h where n = 2k) goes through one scanner,
-    so each shape's tables are built once, and where k < n - k h's
-    (n - k)-row scanner shares its store of lane rows, so a ``verify``
-    builds each row H(m, r) once for both sides.  Raises BudgetError as
-    they do.
+    ``complement_duality_check(m, h)``, h a dual in m's column order,
+    used as given, or ``dual_of(m)`` when omitted, fails the dual pairing
+    too when it rejects h; then comes
+    ``row_op_invariance_check(m, trials, seed=seed)``.  Every k x n row
+    set (m, once for each check, and the variants, and h where n = 2k)
+    goes through one scanner, so each shape's tables are built once, and
+    where k < n - k h's (n - k)-row scanner shares its store of lane
+    rows, so a ``verify`` builds each row H(m, r) once for both sides.
+    Raises RankError when m is rank deficient, and BudgetError as the
+    checks do.
     """
-    k, n = g.k, g.n
+    k, n = m.rows, m.cols
+    h = _dual_for(m, h)  # m's rank is no pairing failure
     lane_rows: LaneRows = {}
     scan = _scanner(k, n, trials + 2 + (2 * k == n), lane_rows)
     try:
-        # the scans run in systematic column order, so align a supplied dual to it
-        aligned = None if h is None else permute_columns(h, g.col_perm)
-        duality = _duality_holds(g, aligned, budget, scan, lane_rows)
+        duality = _duality_holds(m, h, budget, scan, lane_rows)
         pairing = True
-    except (DimensionError, IndexSetError, ConsistencyError, RankError):
+    except (DimensionError, ConsistencyError, RankError):
         pairing = duality = False
     return [("dual pairing", pairing), ("complement duality", duality),
             (f"row op invariance ({trials} trials)",

@@ -6,8 +6,10 @@ computations stay fast for every width we care about without any
 per-entry loops.
 
 The one Gauss-Jordan elimination, ``reduced_basis``, puts column j at bit
-n - 1 - j so that a word's leading bit is its first column; both
-``systematic_form`` and the subset DP in ``counting`` start from it.
+n - 1 - j so that a word's leading bit is its first column;
+``systematic_form``, ``codes.dual_of`` and the subset DP in ``counting``
+start from it, the first two through ``full_rank_basis``, which adds the
+rank check and the pivot columns.
 """
 
 from __future__ import annotations
@@ -225,6 +227,18 @@ def reduced_basis(m: BitMatrix) -> tuple[int, ...]:
     return basis
 
 
+def full_rank_basis(m: BitMatrix) -> tuple[tuple[int, ...], list[int]]:
+    """``reduced_basis(m)`` and its pivot columns, ascending, for full row rank m.
+
+    Raises:
+        RankError: if the matrix does not have full row rank.
+    """
+    basis = reduced_basis(m)
+    if len(basis) < m.rows:
+        raise RankError(f"matrix has rank {len(basis)}, full row rank {m.rows} required")
+    return basis, [m.cols - w.bit_length() for w in basis]  # column j is at bit n - 1 - j
+
+
 def systematic_form(m: BitMatrix) -> SystematicForm:
     """Reduce to [I | P], permuting columns only when forced.
 
@@ -238,10 +252,7 @@ def systematic_form(m: BitMatrix) -> SystematicForm:
         RankError: if the matrix does not have full row rank.
     """
     k, n = m.rows, m.cols
-    basis = reduced_basis(m)
-    if len(basis) < k:
-        raise RankError(f"matrix has rank {len(basis)}, full row rank {k} required")
-    pivots = [n - w.bit_length() for w in basis]
+    basis, pivots = full_rank_basis(m)
     perm = [0] * n
     for new, old in enumerate(pivots + sorted(set(range(n)).difference(pivots))):
         perm[old] = new

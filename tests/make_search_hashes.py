@@ -14,7 +14,9 @@ included.  A seeded random corpus (``corpus``: 4 x 10 to 9 x 22, zero
 and repeated columns and shapes with k > n - k among them) adds
 ``sets``, ``count --list-sets`` and ``verify`` calls on matrices written
 to a scratch directory, named there by relative paths, so no absolute
-path enters the output.  ``test_cli.test_search_output_bytes_are_pinned``,
+path enters the output, and ``verify`` calls with a supplied dual
+(``corpus_duals``) on the corpus matrices whose systematic form moves
+columns.  ``test_cli.test_search_output_bytes_are_pinned``,
 ``test_cli.test_command_output_bytes_are_pinned`` and
 ``test_cli.test_corpus_output_bytes_are_pinned`` replay them.
 Regenerate the file only when a change alters output on purpose, and
@@ -36,6 +38,7 @@ from pathlib import Path
 
 from gf2count import parse_matrix, rank
 from gf2count.cli import main
+from naive import naive_dual_basis, naive_systematic_form
 
 HASHES = Path(__file__).with_name("search_hashes.json")
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +115,11 @@ def _command_argvs() -> list[list[str]]:
     calls.append(["verify", g74, "--budget", "50"])
     calls.append(["verify", g74, "--trials", "3", "--budget", "139"])
     calls.append(["verify", g74, "--trials", "3", "--budget", "140"])
+    # a rank-deficient matrix is judged before its dual file is read: exit 4
+    rank236 = _fixture("rank_2_3_6")
+    calls.append(["verify", rank236, _fixture("no_such_dual"), "--trials", "3"])
+    calls.append(["verify", rank236, g107, "--trials", "3"])  # a wrong-shape dual
+    calls.append(["verify", rank236, "--budget", "1"])
     # usage errors: exit 2
     calls.append(["count", g74, "--mode", "formula", "--list-sets"])
     calls.append(["count", g74, "--budget", "0"])
@@ -163,21 +171,41 @@ def corpus() -> dict[str, str]:
     return files
 
 
+def corpus_duals(files: dict[str, str]) -> dict[str, tuple[str, str]]:
+    """A dual generator for each corpus matrix of at most 15 columns whose
+    systematic form moves columns, in the matrix's own column order, by
+    ``naive_dual_basis``: matrix file name to (dual file name, text)."""
+    duals = {}
+    for name, text in files.items():
+        rows = [[int(c) for c in line] for line in text.split()]
+        n = len(rows[0])
+        if n <= 15 and naive_systematic_form(rows)[1] != list(range(n)):
+            dual = "".join("".join(map(str, row)) + "\n" for row in naive_dual_basis(rows))
+            duals[name] = (name.replace(".txt", ".dual.txt"), dual)
+    return duals
+
+
 def _corpus_argvs() -> list[list[str]]:
     calls = []
-    for (k, n, _, _), path in zip(CORPUS_SHAPES, corpus()):
+    files = corpus()
+    for (k, n, _, _), path in zip(CORPUS_SHAPES, files):
         limit = str(min(comb(n, k) // 2, 2000))  # at most one list of at most 2,000 printed
         calls.append(["sets", path, "--format", "json"] if comb(n, k) <= 2000
                      else ["sets", path, "--set-limit", limit, "--format", "json"])
         calls.append(["count", path, "--list-sets", "--set-limit", limit, "--format", "json"])
         calls.append(["verify", path, "--format", "json", "--trials", "3"])
+    for path, (dual, _) in corpus_duals(files).items():
+        calls.append(["verify", path, dual, "--trials", "3"])
     return calls
 
 
 def write_corpus(root: Path) -> None:
-    """Write ``corpus()`` under root, where the corpus calls run."""
+    """Write ``corpus()`` and its ``corpus_duals`` under root, where the corpus calls run."""
     (root / CORPUS).mkdir()
-    for name, text in corpus().items():
+    files = corpus()
+    for name, text in files.items():
+        (root / name).write_text(text)
+    for name, text in corpus_duals(files).values():
         (root / name).write_text(text)
 
 

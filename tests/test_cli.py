@@ -541,7 +541,7 @@ def test_corpus_output_bytes_are_pinned(tmp_path):
     # the corpus is written so that no absolute path enters the output
     write_corpus(tmp_path)
     entries = [entry for entry in json.loads(HASHES.read_text()) if in_corpus(entry["argv"])]
-    assert len(entries) == 90
+    assert len(entries) == 101
     changed = [" ".join(entry["argv"]) for entry in entries
                if outcome(entry["argv"], tmp_path) != entry]
     assert not changed, "output changed for:\n" + "\n".join(changed)
@@ -579,8 +579,8 @@ def test_verify_with_supplied_dual(capsys):
 
 
 def test_verify_aligns_permuted_systematic_form(capsys, tmp_path):
-    # the systematic form of this matrix reorders columns; a correct
-    # dual of the original must still pass both checks
+    # the systematic form of this matrix reorders columns; a correct dual
+    # in the matrix's own column order passes both checks as given
     g = tmp_path / "g.txt"
     g.write_text("0101\n0011\n")
     h = tmp_path / "h.txt"
@@ -603,20 +603,63 @@ def test_verify_detects_bad_dual(capsys, tmp_path):
 def test_verify_judges_the_derived_dual(capsys, monkeypatch):
     derive = counting.dual_of
 
-    def flipped(g):
-        h = derive(g)
+    def flipped(m):
+        h = derive(m)
         return BitMatrix(h.rows, h.cols, (h.bits[0] ^ 1,) + h.bits[1:])
 
-    sf = systematic_form(load_fixture("g_7_4.txt"))
-    assert counting.complement_duality_check(sf)
-    assert rank(flipped(sf)) == 3  # full rank: only orthogonality can catch it
-    monkeypatch.setattr(counting, "dual_of", flipped)
+    m = load_fixture("g_7_4.txt")
+    assert counting.complement_duality_check(m)
+    assert rank(flipped(m)) == 3  # full rank: only orthogonality can catch it
+    monkeypatch.setattr(counting, "dual_of", flipped)  # where verify derives it
     with pytest.raises(ConsistencyError, match="not orthogonal"):
-        counting.complement_duality_check(sf)
+        counting.complement_duality_check(m)
     code, out, _ = run(capsys, "verify", G74, "--trials", "2")
     assert code == 7
     assert "dual pairing: FAIL" in out
     assert "overall: FAIL" in out
+
+
+def test_verify_fails_a_wrong_reduction(capsys, monkeypatch):
+    # a reduction that returns another matrix's basis gives a dual of that
+    # matrix, which verify judges against the input and rejects
+    from gf2count import gf2
+
+    other = random_full_rank(4, 7, seed=0)
+    m = load_fixture("g_7_4.txt")
+    assert rank(BitMatrix(8, 7, m.bits + other.bits)) > 4  # another row space
+    wrong = gf2.reduced_basis(other)
+    assert run(capsys, "verify", G74, "--trials", "2")[0] == 0
+    # full_rank_basis reads it for systematic_form and dual_of
+    monkeypatch.setattr(gf2, "reduced_basis", lambda _: wrong)
+    code, out, _ = run(capsys, "verify", G74, "--trials", "2")
+    assert code == 7
+    assert "dual pairing: FAIL" in out
+    assert "overall: FAIL" in out
+
+
+def test_only_text_count_reduces_to_systematic_form(capsys, monkeypatch):
+    # dual_of(m) is every command's dual; text count alone prints the
+    # systematic form's column move, so it alone reduces to that form
+    from gf2count import codes, gf2
+
+    reduced = []
+
+    def spy(m):
+        reduced.append(m)
+        return systematic_form(m)
+
+    for module in (gf2, codes, counting, cli):
+        if hasattr(module, "systematic_form"):
+            monkeypatch.setattr(module, "systematic_form", spy)
+    for argv, calls in ((("count", G74), 1), (("count", G107, "--mode", "oracle"), 1),
+                        (("count", G74, "--format", "json"), 0),
+                        (("count", G107, "--list-sets", "--format", "json"), 0),
+                        (("sets", G74), 0), (("weights", G107, "--dual"), 0),
+                        (("verify", G74, "--trials", "2"), 0),
+                        (("verify", G74, H74, "--trials", "2"), 0)):
+        reduced.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(reduced) == calls, argv
 
 
 def test_verify_dual_of_wrong_shape_fails_pairing(capsys, tmp_path):

@@ -234,7 +234,7 @@ def wide_duals(draw):
 @settings(max_examples=10, deadline=None)
 def test_multi_block_dual_matches_transform(sf):
     # the dual spans several blocks; the primal stays on the Gray walk
-    h = dual_of(sf)
+    h = dual_of(sf.matrix)
     assert _is_sliced(h) and h.rows > codes._SLICE_BITS
     assert not _is_sliced(sf.matrix)
     assert weight_enumerator(h) == macwilliams(weight_enumerator(sf.matrix), sf.k)
@@ -262,12 +262,11 @@ def test_min_weight(g74):
 
 
 def test_dual_of_known_pair(g74_sys, h74):
-    assert dual_of(systematic_form(g74_sys)) == h74
+    assert dual_of(g74_sys) == h74
 
 
 def test_dual_of_square_matrix_is_empty():
-    sf = systematic_form(identity(4))
-    d = dual_of(sf)
+    d = dual_of(identity(4))
     assert d.rows == 0 and d.cols == 4
 
 
@@ -275,7 +274,7 @@ def test_dual_of_square_matrix_is_empty():
 @settings(max_examples=40)
 def test_dual_of_spans_the_orthogonal_complement(m):
     sf = systematic_form(m)
-    h = dual_of(sf)
+    h = dual_of(sf.matrix)
     # compare against a basis found by exhaustive filtering
     naive = naive_dual_basis(row_lists(sf.matrix))
     assert rank(h) == len(naive) == sf.n - sf.k
@@ -285,6 +284,40 @@ def test_dual_of_spans_the_orthogonal_complement(m):
         h.bits + BitMatrix.from_lists(naive).bits if naive else h.bits,
     )
     assert rank(stacked) == sf.n - sf.k
+
+
+def packed(rows: list[list[int]], n: int) -> BitMatrix:
+    """0/1 row lists as a BitMatrix of n columns, zero rows allowed."""
+    return BitMatrix(len(rows), n, tuple(sum(b << j for j, b in enumerate(r)) for r in rows))
+
+
+def same_span(a: BitMatrix, b: BitMatrix) -> bool:
+    return rank(a) == rank(b) == rank(BitMatrix(a.rows + b.rows, a.cols, a.bits + b.bits))
+
+
+@given(full_rank_matrices(max_rows=5, max_cols=9), st.data())
+@settings(max_examples=60)
+def test_dual_of_is_the_dual_in_the_matrix_column_order(m, data):
+    k, n = m.rows, m.cols
+    h = dual_of(m)
+    # orthogonal to m, of rank n - k
+    assert (h.rows, h.cols, rank(h)) == (n - k, n, n - k)
+    assert not any((a & b).bit_count() & 1 for a in m.bits for b in h.bits)
+    # its span is the orthogonal complement found by exhaustive filtering
+    assert same_span(h, packed(naive_dual_basis(row_lists(m)), n))
+    # moving m's columns moves its dual's
+    perm = data.draw(st.permutations(range(n)))
+    assert same_span(dual_of(permute_columns(m, perm)), permute_columns(h, perm))
+    # on a systematic [I | P] it is [P^T | I]
+    ip = row_lists(systematic_form(m).matrix)
+    transposed = [[ip[i][k + j] for i in range(k)] + [int(t == j) for t in range(n - k)]
+                  for j in range(n - k)]
+    assert dual_of(packed(ip, n)) == packed(transposed, n)
+
+
+def test_dual_of_rejects_rank_deficient():
+    with pytest.raises(RankError, match="matrix has rank 1, full row rank 2 required"):
+        dual_of(parse_matrix("110\n110"))
 
 
 def test_macwilliams_known_pair(g74, h74):
@@ -357,7 +390,7 @@ def test_effective_distance_equals_dual_word_weight(m):
     if sf.k == sf.n:
         return
     p = sf.parity_block()
-    h = dual_of(sf)
+    h = dual_of(sf.matrix)
     from itertools import combinations
 
     for size in range(1, sf.n - sf.k + 1):

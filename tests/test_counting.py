@@ -81,7 +81,7 @@ def test_singular_count_formula_dual_side():
 def test_singular_count_formula_accepts_either_side(g74):
     # the primal distribution of the same code must predict the same count
     primal = weight_enumerator(g74)
-    dual = weight_enumerator(dual_of(systematic_form(g74)))
+    dual = weight_enumerator(dual_of(g74))
     assert singular_count_formula(primal, 4) == singular_count_formula(dual, 4) == 7
 
 
@@ -199,7 +199,7 @@ def test_analyze_oracle_exact_on_other_variant(g107_sys):
 def test_double_counting_witness(g107):
     # two selections avoid two dual words at once, so the raw sum
     # overshoots the scan by exactly those two
-    dual_we = weight_enumerator(dual_of(systematic_form(g107)))
+    dual_we = weight_enumerator(dual_of(g107))
     assert dual_we.coeffs == (1, 0, 0, 0, 2, 0, 4, 0, 1, 0, 0)
     assert singular_count_formula(dual_we, 7) == 56
     assert brute_force_counts(g107).singular_count == 54
@@ -324,8 +324,7 @@ def test_report_invariants():
 
 
 def test_complement_duality_known_pair(g74_sys, h74):
-    sf = systematic_form(g74_sys)
-    assert complement_duality_check(sf, h74)
+    assert complement_duality_check(g74_sys, h74)
     # spot checks on the correspondence itself
     res_g = brute_force_counts(g74_sys, collect_sets=True)
     res_h = brute_force_counts(h74, collect_sets=True)
@@ -336,12 +335,10 @@ def test_complement_duality_known_pair(g74_sys, h74):
 
 
 def test_complement_duality_trivial_square():
-    sf = systematic_form(identity(4))
-    assert complement_duality_check(sf)
+    assert complement_duality_check(identity(4))
 
 
 def test_complement_duality_rejects_bad_dual(g74_sys, h74):
-    sf = systematic_form(g74_sys)
     a, b, c = h74.bits
     for bad, error, message in (
         (BitMatrix(3, 6, (a >> 1, b >> 1, c >> 1)), DimensionError,
@@ -353,12 +350,12 @@ def test_complement_duality_rejects_bad_dual(g74_sys, h74):
         (BitMatrix(3, 7, (a, a, 0)), RankError, "dual generator is rank deficient"),
     ):
         with pytest.raises(error, match=f"^{message}$"):
-            complement_duality_check(sf, bad)
+            complement_duality_check(g74_sys, bad)
 
 
 def test_complement_duality_budget(g1511):
     with pytest.raises(BudgetError):
-        complement_duality_check(systematic_form(g1511), budget=100)
+        complement_duality_check(g1511, budget=100)
 
 
 def test_row_op_families_match_across_forms(g74, g74_sys):
@@ -402,8 +399,7 @@ def test_formula_oracle_agree_when_condition_holds(p_bits, k):
 
 def _enumerated_side(m: BitMatrix) -> BitMatrix:
     """The generator analyze counts on: the code or its dual, whichever is smaller."""
-    sf = systematic_form(m)
-    return sf.matrix if sf.k < sf.n - sf.k else dual_of(sf)
+    return m if m.rows < m.cols - m.rows else dual_of(m)
 
 
 @st.composite
@@ -444,7 +440,7 @@ def test_basis_count_matches_naive(rows):
     independent = len(naive_subset_split(rows)[1])
     assert basis_count(m) == independent
     # the complement count on the dual side, down to r = 0 at k = n
-    assert basis_count(dual_of(systematic_form(m))) == independent
+    assert basis_count(dual_of(m)) == independent
     assert analyze(m).full_rank_count == independent
 
 
@@ -597,7 +593,7 @@ _PINNED_DP = {
     # four rows: one state a column, so a visit a column until the chain ends
     "systematic 4x10": lambda b: next(counting.systematic_counts([0x5BC8FB], 4, 6, budget=b)),
     "dual of random 26x30": lambda b: basis_count(
-        dual_of(systematic_form(random_full_rank(26, 30, seed=0))), budget=b),
+        dual_of(systematic_form(random_full_rank(26, 30, seed=0)).matrix), budget=b),
 }
 
 
@@ -822,7 +818,7 @@ def test_verify_scans_each_side_as_given(monkeypatch):
         scan = scanner(k, n, scans, lane_rows)
 
         def recorded(rows):
-            scanned.append((k, len(rows)))
+            scanned.append((k, tuple(rows)))
             return scan(rows)
         return recorded
 
@@ -830,10 +826,12 @@ def test_verify_scans_each_side_as_given(monkeypatch):
     for k, n in ((6, 14), (8, 14)):
         scanned.clear()
         m = random_full_rank(k, n, seed=2)
-        assert all(ok for _, ok in counting.verify_checks(m, systematic_form(m)))
-        assert all(rows == shape for shape, rows in scanned)
-        # g, m and the 20 variants on m's side, and the dual
-        assert Counter(rows for _, rows in scanned) == {k: 22, n - k: 1}
+        assert all(ok for _, ok in counting.verify_checks(m))
+        assert all(len(rows) == shape for shape, rows in scanned)
+        # m once for each check and the 20 variants on m's side, and the dual
+        assert Counter(len(rows) for _, rows in scanned) == {k: 22, n - k: 1}
+        assert [rows for _, rows in scanned].count(m.bits) == 2
+        assert (n - k, dual_of(m).bits) in scanned
 
 
 def test_verify_builds_each_lane_row_once_for_both_sides(monkeypatch):
@@ -860,7 +858,7 @@ def test_verify_builds_each_lane_row_once_for_both_sides(monkeypatch):
         stores.clear()
         built.clear()
         m = random_full_rank(k, n, seed=3)
-        assert all(ok for _, ok in counting.verify_checks(m, systematic_form(m)))
+        assert all(ok for _, ok in counting.verify_checks(m))
         assert len(stores) == 1 and stores[0][0] is not None
         assert built and Counter(built).most_common(1)[0][1] == 1
         # the dual's scanner uses rows of more than k words, none of them rebuilt
@@ -922,7 +920,7 @@ def test_scan_below_the_top_level_matches_naive_split(rows):
     assert list(res.independent_sets) == ind
     assert res.bitmap == _lex_bitmap(set(ind), n, k)
     assert row_op_invariance_check(m, trials=3)
-    assert complement_duality_check(systematic_form(m))
+    assert complement_duality_check(m)
 
 
 @st.composite
@@ -1183,21 +1181,32 @@ def test_verify_checks_match_the_two_public_checks(h74):
     for m, h in [(random_full_rank(6, 14, seed=1), None), (random_full_rank(7, 14, seed=2), None),
                  (load_fixture("g_7_4.txt"), None), (load_fixture("g_7_4.txt"), h74),
                  (random_full_rank(1, 5, seed=3), None), (random_full_rank(5, 5, seed=4), None)]:
-        sf = systematic_form(m)
-        aligned = None if h is None else permute_columns(h, sf.col_perm)
-        assert counting.verify_checks(m, sf, h, trials=4, seed=9) == [
+        assert counting.verify_checks(m, h, trials=4, seed=9) == [
             ("dual pairing", True),
-            ("complement duality", complement_duality_check(sf, aligned)),
+            ("complement duality", complement_duality_check(m, h)),
             ("row op invariance (4 trials)", row_op_invariance_check(m, 4, seed=9)),
         ]
     bad = BitMatrix(h74.rows, 7, (h74.bits[0] ^ 1,) + h74.bits[1:])
     g = load_fixture("g_7_4.txt")
-    assert counting.verify_checks(g, systematic_form(g), bad, trials=2)[:2] == [
+    assert counting.verify_checks(g, bad, trials=2)[:2] == [
         ("dual pairing", False), ("complement duality", False)]
     with pytest.raises(BudgetError, match="scanning both sides"):
-        counting.verify_checks(g, systematic_form(g), budget=60)
+        counting.verify_checks(g, budget=60)
     with pytest.raises(BudgetError, match="21 scans"):
-        counting.verify_checks(g, systematic_form(g), budget=100)
+        counting.verify_checks(g, budget=100)
+
+
+def test_duality_checks_judge_the_rank_of_m_before_a_supplied_dual():
+    # h is a valid dual for m's row space, but m has rank 1, not 2
+    m = parse_matrix("1100\n1100")
+    h = parse_matrix("1100\n0010")
+    assert rank(h) == 2 and not any((a & b).bit_count() & 1 for a in m.bits for b in h.bits)
+    with pytest.raises(RankError, match="full row rank 2 required"):
+        complement_duality_check(m, h)
+    with pytest.raises(RankError, match="full row rank 2 required"):
+        counting.verify_checks(m, h, trials=2)
+    with pytest.raises(RankError, match="full row rank 2 required"):
+        counting.verify_checks(m, trials=2)
 
 
 def test_scan_closing_below_the_top_matches_the_dp_at_12x18(monkeypatch):
@@ -1208,7 +1217,7 @@ def test_scan_closing_below_the_top_matches_the_dp_at_12x18(monkeypatch):
     monkeypatch.setattr(counting, "_CLOSE_MAX_TABLE_BITS", 1 << 19)
     m = random_full_rank(12, 18, seed=3)
     assert brute_force_counts(m).full_rank_count == basis_count(m)
-    assert complement_duality_check(systematic_form(m))
+    assert complement_duality_check(m)
     assert row_op_invariance_check(m, trials=3)
 
 
@@ -1230,10 +1239,9 @@ def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch
         scan = scanner(k, n, scans, lane_rows)
         return (lambda rows: scan(rows) ^ 1) if k == 3 else scan
 
-    sf = systematic_form(g74_sys)
-    assert complement_duality_check(sf, h74)
+    assert complement_duality_check(g74_sys, h74)
     monkeypatch.setattr(counting, "_scanner", flip_on_dual)
-    assert not complement_duality_check(sf, h74)
+    assert not complement_duality_check(g74_sys, h74)
 
 
 def test_oracle_scan_matches_dp_at_9x22():
