@@ -197,9 +197,12 @@ def run_search(args: argparse.Namespace) -> dict:
     equivalent to some [I | P], and the counts are invariant under both,
     so scanning P blocks alone covers all attainable values of I.  The
     candidates are every P block or seeded draws, first occurrences in
-    order, and ``counting.systematic_counts`` scores them.  ``--budget``
-    caps the ``--exhaustive`` candidate count and each column multiset's
-    visits to DP states of four or more words, so it caps no DP at k <= 3.
+    order, and ``counting.systematic_counts`` scores them: all at once,
+    bit-parallel from the nonsingular minors of P, where k * (n - k) <= 16
+    and the budget is at least 67 n, which no DP of such a shape can
+    reach, else by the DP.  ``--budget`` caps the ``--exhaustive``
+    candidate count and each column multiset's visits to DP states of
+    four or more words, so it caps no DP at k <= 3.
     Returns a JSON-ready summary dict.
     """
     k, n = args.k, args.n

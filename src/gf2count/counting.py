@@ -35,9 +35,14 @@ column order.  ``analyze`` ties them together: it picks the cheaper side
 (code or dual) for the distribution, checks the distance condition, and
 runs its exact methods from one ordered list, the formula when it is
 valid and the DP when nothing else runs.  ``brute_force_counts`` scans
-the side with fewer rows.  ``systematic_counts`` scores ``search``'s candidates [I | P]: in
-closed form from the block's bits for k <= 3, else by one walk per
-multiset of P's columns, a single chain of states at k = 4.
+the side with fewer rows.  ``systematic_counts`` scores ``search``'s
+candidates [I | P].  Where k (n - k) <= 16 and the budget is at least
+67 n, more than any DP of the shape can visit, it scores them all at
+once, one to a 16-bit lane of an int: the count is the number of
+nonsingular square submatrices of P (Cauchy-Binet), each minor one
+Laplace step (AND, then XOR) from those one smaller.  Otherwise it
+scores a block in closed form from its bits for k <= 3, else by one walk
+per multiset of P's columns, a single chain of states at k = 4.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, combinations, compress, islice
 from math import comb
 
 from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
@@ -341,6 +346,7 @@ def brute_force_counts(
     budget: int = DEFAULT_BUDGET,
     collect_sets: bool = False,
     set_limit: int | None = None,
+    dual: BitMatrix | None = None,
 ) -> BruteForceResult:
     """Classify every k-column subset of m by rank, as one bitmap.
 
@@ -360,20 +366,25 @@ def brute_force_counts(
             the result marks an uncollected list).
         set_limit: with collect_sets, leave uncollected, and never
             decode, each list longer than this.
+        dual: ``dual_of(m)`` where the caller has derived it, which
+            judged m's rank; else the dual is derived here if scanned.
 
     Raises:
         RankError: m is rank deficient (every subset would be singular).
         BudgetError: C(n, k) exceeds budget.
     """
     k, n = m.rows, m.cols
-    if (got := rank(m)) != k:
-        raise RankError(f"matrix has rank {got}, full row rank {k} required")
+    if dual is None:
+        if k > n - k:
+            dual = dual_of(m)  # which judges m's rank
+        elif (got := rank(m)) != k:
+            raise RankError(f"matrix has rank {got}, full row rank {k} required")
     total = comb(n, k)
     if total > budget:
         raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
 
     if k > n - k:  # scan the dual, in m's column order; complements reverse the order
-        bitmap = _reversed(_scanner(n - k, n)(dual_of(m).bits), total)
+        bitmap = _reversed(_scanner(n - k, n)(dual.bits), total)
     else:
         bitmap = _scanner(k, n)(m.bits)
     independent = bitmap.bit_count()
@@ -590,15 +601,71 @@ def systematic_rows(p_bits: int, k: int, w: int) -> tuple[int, ...]:
     return tuple([1 << i | (p_bits >> i * w & pmask) << k for i in range(k)])
 
 
+# A block of k * w <= 16 bits and its score, at most C(k + w, k) <= 70, share
+# one 16-bit lane.  A DP state of such a shape is a subspace of a space of
+# dimension min(k, w) <= 4, so a walk visits at most 67 (the subspaces of F_2^4)
+# a column and cannot exceed a budget of 67 (k + w).  On an exhaustive 4 x 8
+# search (65,536 blocks, 2-vCPU Xeon, Python 3.11), 2,048 lanes a pass score
+# in 15 ms and the search peaks at 0.33 MB (tracemalloc); 4,096 take 14 ms at
+# 0.65 MB, 512 take 24-32 ms, and one pass of all of them 18-21 ms at 10.5 MB.
+_MINOR_LANES = 2048
+
+
+def _minor_scores(blocks: Iterable[int], k: int, w: int) -> Iterator[int]:
+    """``basis_count`` of [I | P] for each block P of k * w <= 16 bits, all at once.
+
+    A basis takes P's columns J and the identity's columns of the rows
+    outside some R, |R| = |J|, and is one exactly when P[R, J] is
+    nonsingular (Cauchy-Binet), so the count is the number of nonsingular
+    square submatrices of P, the empty one included.  The blocks are packed
+    one to a 16-bit lane of an int, P's entry (i, j) is the plane of bit
+    i * w + j of every lane, and each s x s minor is one Laplace step
+    along its first row from the (s - 1) x (s - 1) minors below it: an AND
+    a term, XORed.  The minors are 0 or 1 a lane and a lane's sum at most
+    C(k + w, k) <= 70, so the plain sum of them all carries into no other
+    lane.  A pass takes ``_MINOR_LANES`` blocks.
+    """
+    from array import array  # loaded only by a search that scores this way
+    from sys import byteorder
+
+    blocks = iter(blocks)
+    while batch := array("H", islice(blocks, _MINOR_LANES)):
+        lanes = len(batch)
+        x = int.from_bytes(batch.tobytes(), byteorder)
+        unit = ((1 << 16 * lanes) - 1) // 0xFFFF  # bit 0 of every lane
+        entries = [x >> b & unit for b in range(k * w)]
+        total = sum(entries, unit)
+        # each minor of one size by its rows R and columns J, as R << w | J
+        minors = {1 << w + b // w | 1 << b % w: e for b, e in enumerate(entries)}
+        for _ in range(min(k, w) - 1):
+            upper: dict[int, int] = {}
+            for key, d in minors.items():
+                rows = key >> w
+                # the terms of the minors one larger whose first row i is above R
+                for i in range((rows & -rows).bit_length() - 1):
+                    head = key | 1 << w + i
+                    for j in range(w):
+                        if not key >> j & 1:
+                            term = entries[i * w + j] & d
+                            at = head | 1 << j
+                            upper[at] = upper[at] ^ term if at in upper else term
+            total = sum(upper.values(), total)
+            minors = upper
+        yield from array("H", total.to_bytes(2 * lanes, byteorder))
+
+
 def systematic_counts(
     blocks: Iterable[int], k: int, w: int, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[int]:
     """``basis_count`` of [I | P] for each block P, read as by ``systematic_rows``.
 
-    For k <= 3 the rows of [I_3 | P], P's missing rows zero, are one
+    Where k * w <= 16 and budget >= 67 (k + w), so that no walk of the
+    shape could exceed it, ``_minor_scores`` scores the blocks
+    bit-parallel from the nonsingular minors of P.  Elsewhere, for k <= 3
+    the rows of [I_3 | P], P's missing rows zero, are one
     3-tuple of shifted masks, counted at once by ``_completions`` with no
     column order; an added unit row is a coloop, so no count changes.
-    Otherwise the count depends only on the multiset of P's columns, so
+    From k = 4 the count depends only on the multiset of P's columns, so
     each multiset is walked once: its key is P's columns as 0/1 text,
     row 0 first, sorted and joined.  In the DP's layout, column j at bit
     n - 1 - j, row i of [I | P] in that column order is the identity's
@@ -606,6 +673,9 @@ def systematic_counts(
     which it alone holds, so the rows are fully reduced and are ``_walk``'s
     start as they stand.  Raises BudgetError as ``_walk`` does, not at k <= 3.
     """
+    if k * w <= 16 and budget >= 67 * (k + w):
+        yield from _minor_scores(blocks, k, w)
+        return
     if k <= 3:
         pmask = (1 << w) - 1
         for p in blocks:
@@ -752,7 +822,7 @@ def analyze(
     def scanned() -> int:
         nonlocal scan
         scan = brute_force_counts(m, budget=budget, collect_sets=collect_sets,
-                                  set_limit=set_limit)
+                                  set_limit=set_limit, dual=gen if side == "dual" else None)
         return scan.singular_count
 
     # the exact methods that run, in order, each with how a mismatch names its D
@@ -818,7 +888,7 @@ def complement_duality_check(
     lane_rows: LaneRows = {}
     return _duality_holds(m, _dual_for(m, h), budget,
                           _scanner(m.rows, m.cols, 1 + (2 * m.rows == m.cols), lane_rows),
-                          lane_rows)
+                          lane_rows)[0]
 
 
 def _dual_for(m: BitMatrix, h: BitMatrix | None) -> BitMatrix:
@@ -831,8 +901,9 @@ def _dual_for(m: BitMatrix, h: BitMatrix | None) -> BitMatrix:
 
 def _duality_holds(m: BitMatrix, h: BitMatrix, budget: int,
                    scan: Callable[[Sequence[int]], int],
-                   lane_rows: LaneRows) -> bool:
-    """``complement_duality_check`` with m scanned by ``scan`` (and h too where n = 2k).
+                   lane_rows: LaneRows) -> tuple[bool, int]:
+    """``complement_duality_check`` with m scanned by ``scan`` (and h too where n = 2k),
+    and m's bitmap.
 
     Where k < n - k, h goes through its own (n - k)-row scanner, as
     given, which takes its lane rows from ``lane_rows``, the store
@@ -852,12 +923,13 @@ def _duality_holds(m: BitMatrix, h: BitMatrix, budget: int,
             f"scanning both sides needs {comb(n, k) + comb(n, n - k)} subsets, "
             f"over budget {budget}"
         )
-    expected = _reversed(scan(m.bits), comb(n, k))  # h's bitmap, by duality
+    base = scan(m.bits)
+    expected = _reversed(base, comb(n, k))  # h's bitmap, by duality
     if k > n - k:  # h has fewer rows, so brute_force_counts scans it as given
-        return brute_force_counts(h, budget=budget).bitmap == expected
+        return brute_force_counts(h, budget=budget).bitmap == expected, base
     if 2 * k < n:
         scan = _scanner(n - k, n, 1, lane_rows)
-    return scan(h.bits) == expected  # h as given
+    return scan(h.bits) == expected, base  # h as given
 
 
 def _row_equivalents(rows: Sequence[int], trials: int,
@@ -919,8 +991,9 @@ def row_op_invariance_check(
 
 
 def _invariance_holds(m: BitMatrix, trials: int, seed: int, budget: int,
-                      scan: Callable[[Sequence[int]], int]) -> bool:
-    """``row_op_invariance_check`` with every scan made by ``scan``, a k x n scanner."""
+                      scan: Callable[[Sequence[int]], int], base: int | None = None) -> bool:
+    """``row_op_invariance_check`` with every scan made by ``scan``, a k x n scanner;
+    ``base``, m's bitmap where the caller has it, saves m's scan."""
     if trials < 0:
         raise DimensionError(f"negative trial count {trials}")
     k, n = m.rows, m.cols
@@ -932,7 +1005,8 @@ def _invariance_holds(m: BitMatrix, trials: int, seed: int, budget: int,
         raise RankError(f"matrix has rank {got}, full row rank {k} required")
     import random  # loaded only by the row-op check
 
-    base = scan(m.bits)
+    if base is None:
+        base = scan(m.bits)
     rng = random.Random(seed)
     return all(scan(rows) == base for rows in _row_equivalents(m.bits, trials, rng))
 
@@ -951,8 +1025,9 @@ def verify_checks(
     used as given, or ``dual_of(m)`` when omitted, fails the dual pairing
     too when it rejects h; then comes
     ``row_op_invariance_check(m, trials, seed=seed)``.  Every k x n row
-    set (m, once for each check, and the variants, and h where n = 2k)
-    goes through one scanner, so each shape's tables are built once, and
+    set (m, and the variants, and h where n = 2k) goes through one
+    scanner, so each shape's tables are built once; m's bitmap from the
+    duality check serves as the invariance check's base, and
     where k < n - k h's (n - k)-row scanner shares its store of lane
     rows, so a ``verify`` builds each row H(m, r) once for both sides.
     Raises RankError when m is rank deficient, and BudgetError as the
@@ -961,12 +1036,13 @@ def verify_checks(
     k, n = m.rows, m.cols
     h = _dual_for(m, h)  # m's rank is no pairing failure
     lane_rows: LaneRows = {}
-    scan = _scanner(k, n, trials + 2 + (2 * k == n), lane_rows)
+    scan = _scanner(k, n, trials + 1 + (2 * k == n), lane_rows)
+    base = None  # m's bitmap, once the duality check has scanned it
     try:
-        duality = _duality_holds(m, h, budget, scan, lane_rows)
+        duality, base = _duality_holds(m, h, budget, scan, lane_rows)
         pairing = True
     except (DimensionError, ConsistencyError, RankError):
         pairing = duality = False
     return [("dual pairing", pairing), ("complement duality", duality),
             (f"row op invariance ({trials} trials)",
-             _invariance_holds(m, trials, seed, budget, scan))]
+             _invariance_holds(m, trials, seed, budget, scan, base))]

@@ -74,6 +74,17 @@ def _search_argvs() -> list[list[str]]:
         calls.append(["search", "--k", str(k), "--n", str(n), "--samples", "30",
                       "--budget", budget])
     calls.append(["search", "--k", "4", "--n", "10", "--exhaustive", "--budget", "1000"])
+    # shapes with k * (n - k) = 16, the widest that systematic_counts scores one
+    # block to a 16-bit lane, and at 4 x 8 each side of its budget edge, 67 * n
+    for k, n in ((1, 17), (2, 10), (4, 8)):
+        calls.append(["search", "--k", str(k), "--n", str(n), "--exhaustive",
+                      "--format", "json"])
+    for k, n in ((5, 8), (8, 10), (16, 17)):
+        calls.append(["search", "--k", str(k), "--n", str(n), "--samples", "200",
+                      "--format", "json"])
+    for budget in ("535", "536"):
+        calls.append(["search", "--k", "4", "--n", "8", "--samples", "30",
+                      "--budget", budget])
     return calls
 
 

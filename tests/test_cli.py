@@ -450,7 +450,9 @@ def test_search_matches_a_scan_of_every_candidate(capsys, k, n, mode):
 
 
 @pytest.mark.parametrize("k, n", [(4, 6), (4, 7)])
-def test_search_walks_each_column_multiset_once(capsys, monkeypatch, k, n):
+def test_search_walks_each_column_multiset_once(monkeypatch, k, n):
+    # every block, as an exhaustive search scores them, on the DP path: a budget
+    # under 67 n, which at 4 x 7 an exhaustive search's 4,096 candidates exceed
     starts = []
     walk = counting._walk
 
@@ -459,18 +461,37 @@ def test_search_walks_each_column_multiset_once(capsys, monkeypatch, k, n):
         return walk(start, cols, budget, closed)
 
     monkeypatch.setattr(counting, "_walk", spy)
-    code, out, _ = run(capsys, "search", "--k", str(k), "--n", str(n),
-                       "--exhaustive", "--format", "json")
-    assert code == 0
     w = n - k
-    assert json.loads(out)["candidates_scored"] == 2 ** (k * w)
+    scores = list(counting.systematic_counts(range(1 << k * w), k, w, budget=67 * n - 1))
+    assert len(scores) == 2 ** (k * w)
     # multisets of w columns drawn from the 2^k column values
     assert len(starts) == comb(2 ** k + w - 1, w)
     assert len(set(starts)) == len(starts)
 
 
+@pytest.mark.parametrize("argv, walks", [
+    (("--k", "3", "--n", "8", "--samples", "60"), False),
+    (("--k", "4", "--n", "8", "--exhaustive"), False),
+    (("--k", "4", "--n", "10", "--samples", "60"), True),  # k * (n - k) > 16
+    (("--k", "4", "--n", "6", "--exhaustive", "--budget", "400"), True),  # under 67 n
+], ids=["3x8", "4x8", "4x10", "4x6-budget-400"])
+def test_search_scores_sixteen_bit_blocks_without_the_dp(capsys, monkeypatch, argv, walks):
+    calls = []
+    for name in ("_walk", "_completions"):
+        def spy(*args, _name=name, _run=getattr(counting, name)):
+            calls.append(_name)
+            return _run(*args)
+
+        monkeypatch.setattr(counting, name, spy)
+    code, _, _ = run(capsys, "search", *argv, "--format", "json")
+    assert code == 0
+    assert ("_walk" in calls) == walks
+    assert walks or not calls
+
+
 @pytest.mark.parametrize("k, n, mode", [
     (2, 4, "exhaustive"), (3, 5, "exhaustive"), (3, 8, "sampled"),
+    (3, 9, "sampled"),  # k * (n - k) > 16: the closed form
 ])
 def test_search_runs_no_dp_for_three_rows_or_fewer(capsys, monkeypatch, k, n, mode):
     def boom(*args, **kwargs):
@@ -617,6 +638,21 @@ def test_verify_judges_the_derived_dual(capsys, monkeypatch):
     assert code == 7
     assert "dual pairing: FAIL" in out
     assert "overall: FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sets", "tests/fixtures/g_7_4.txt", "--format", "text"],
+    ["count", "tests/fixtures/g_10_7.txt", "--mode", "oracle", "--format", "text"],
+    ["count", "tests/fixtures/g_7_4.txt", "--list-sets", "--format", "json"],
+], ids=["sets", "count-oracle", "count-list-sets"])
+def test_a_dual_side_scan_derives_the_dual_once(monkeypatch, argv):
+    # analyze hands the dual it enumerated to the scan, which derives no other
+    derived = []
+    dual_of = counting.dual_of
+    monkeypatch.setattr(counting, "dual_of", lambda m: derived.append(m) or dual_of(m))
+    pinned = next(entry for entry in json.loads(HASHES.read_text()) if entry["argv"] == argv)
+    assert outcome(argv) == pinned
+    assert len(derived) == 1
 
 
 def test_verify_fails_a_wrong_reduction(capsys, monkeypatch):

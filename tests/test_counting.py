@@ -36,6 +36,7 @@ from gf2count import (
     weight_enumerator,
 )
 from gf2count.counting import systematic_rows
+from gf2count.gf2 import reduced_basis
 from naive import (
     mobius_full_rank_count,
     naive_dual_basis,
@@ -744,6 +745,50 @@ def test_search_score_of_three_rows_or_fewer_matches_naive_split(block):
     assert next(counting.systematic_counts([p_bits], k, w)) == independent  # search's path
 
 
+@st.composite
+def lane_blocks(draw):
+    """A shape with k * w <= 16 and a few blocks of it, scored side by side."""
+    k = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 16 // k))
+    return k, k + w, draw(st.lists(st.integers(0, (1 << k * w) - 1), min_size=1, max_size=6))
+
+
+def _dp_score(p_bits: int, k: int, w: int) -> int:
+    """The DP path: ``_walk`` from the reduced basis of [I | P]."""
+    start = reduced_basis(BitMatrix(k, k + w, systematic_rows(p_bits, k, w)))
+    return counting._walk(start, k + w, counting.DEFAULT_BUDGET, {})
+
+
+@given(lane_blocks())
+@example((16, 17, [0, 0xFFFF, 0x8001]))  # w = 1: one column beside I_16
+@example((1, 17, [0xFFFF, 0, 0x00F0]))  # k = 1: the nonzero columns
+@example((4, 8, [_p_bits([0, 5, 5, 9], 4), _p_bits([15, 15, 15, 15], 4)]))  # zero, repeats
+@example((3, 8, [_p_bits([6, 6, 6, 0, 0], 3), _p_bits([3, 5, 6, 7, 3], 3)]))
+@example((2, 10, [_p_bits([0, 3, 3, 1, 0, 2, 2, 3], 2)]))
+@example((8, 10, [0, 0xFFFF]))
+@settings(max_examples=120, deadline=None)
+def test_minor_scores_match_naive_split_and_the_dp(block):
+    k, n, blocks = block
+    w = n - k
+    scores = list(counting._minor_scores(blocks, k, w))
+    naive = []
+    for p_bits in blocks:
+        rows = [[int(c == i) for c in range(k)]
+                + [p_bits >> (i * w + j) & 1 for j in range(w)] for i in range(k)]
+        naive.append(len(naive_subset_split(rows)[1]))
+    assert scores == naive
+    assert scores == [_dp_score(p_bits, k, w) for p_bits in blocks]
+    assert list(counting.systematic_counts(blocks, k, w)) == scores  # search's path
+
+
+def test_minor_scores_keep_their_order_across_passes(monkeypatch):
+    blocks = list(range(0, 1 << 16, 97))  # 4 x 8 blocks
+    whole = list(counting._minor_scores(blocks, 4, 4))
+    monkeypatch.setattr(counting, "_MINOR_LANES", 5)  # 136 passes, the last one short
+    assert list(counting._minor_scores(blocks, 4, 4)) == whole
+    assert whole == [_dp_score(p_bits, 4, 4) for p_bits in blocks]
+
+
 def _lex_bitmap(family: set, n: int, size: int) -> int:
     """Bit i set iff family holds the i-th size-subset of range(n) in lex order."""
     subsets = combinations(range(n), size)
@@ -828,9 +873,10 @@ def test_verify_scans_each_side_as_given(monkeypatch):
         m = random_full_rank(k, n, seed=2)
         assert all(ok for _, ok in counting.verify_checks(m))
         assert all(len(rows) == shape for shape, rows in scanned)
-        # m once for each check and the 20 variants on m's side, and the dual
-        assert Counter(len(rows) for _, rows in scanned) == {k: 22, n - k: 1}
-        assert [rows for _, rows in scanned].count(m.bits) == 2
+        # m once, its bitmap serving both checks, and the 20 variants on m's
+        # side, and the dual
+        assert Counter(len(rows) for _, rows in scanned) == {k: 21, n - k: 1}
+        assert [rows for _, rows in scanned].count(m.bits) == 1
         assert (n - k, dual_of(m).bits) in scanned
 
 

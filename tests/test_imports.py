@@ -107,8 +107,10 @@ def test_package_imports_exactly_its_public_names():
     assert sorted(imported) == sorted(gf2count.__all__)
 
 
-# dataclasses and what it pulls in, typing, and random, which only sampled search and verify use
-NOT_LOADED_BY_COUNT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random")
+# dataclasses and what it pulls in, typing, random, which only sampled search and verify
+# use, and array, which only search's bit-parallel scorer uses
+NOT_LOADED_BY_COUNT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random",
+                       "array")
 
 
 def modules_loaded_by(argv: list[str]) -> set[str]:
