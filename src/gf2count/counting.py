@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import cache
 from itertools import accumulate, combinations, compress, islice
 from math import comb
 
@@ -429,29 +430,29 @@ def _completions(key: tuple[int, ...]) -> int:
 
 
 def _connectivity_order(rows: Sequence[int], n: int,
-                        lookahead: bool = False) -> tuple[list[int], list[int]]:
-    """A column order that keeps the DP's cuts narrow, chosen greedily, and its cuts.
+                        lookahead: bool = False) -> tuple[list[int], list[tuple[int, int]]]:
+    """A column order that keeps the DP's cuts narrow, chosen greedily, and its rank profile.
 
     ``rows`` span the row space, column j at bit n - 1 - j.  After a
     prefix A, the DP's states are subspaces of span(A) ∩ span(B), B the
     columns to come, of dimension r(A) + r(B) - r: the matroid's
-    connectivity at that cut, listed after each column.  A narrowest
-    order is NP-hard to find (Horn & Kschischang 1996), so the prefix
-    grows by the lowest column already in span(A), which cannot widen the
-    cut; else by the lowest coloop of B, which lowers r(B); else by the
-    lowest column of B, or with ``lookahead`` by the one whose vector mod
-    span(A) most columns of B share, then that is the sum of most pairs
-    of them, to bring the most columns into span(A) soonest.  All are
-    properties of the matroid contracted by A, so row operations do not
-    change the order.
+    connectivity at that cut.  The profile lists (r(A), r(B)) after each
+    column.  A narrowest order is NP-hard to find (Horn & Kschischang
+    1996), so the prefix grows by the lowest column already in span(A),
+    which cannot widen the cut; else by the lowest coloop of B, which
+    lowers r(B); else by the lowest column of B, or with ``lookahead`` by
+    the one whose vector mod span(A) most columns of B share, then that is
+    the sum of most pairs of them, to bring the most columns into span(A)
+    soonest.  All are properties of the matroid contracted by A, so row
+    operations do not change the order.
     """
     rref: tuple[int, ...] = ()  # the rows restricted to B, fully reduced
     for row in rows:
         rref = _reduce_in(rref, row) or rref
-    r, rank = len(rref), 0  # rank = r(A)
+    rank = 0  # r(A)
     # B's columns, ascending, each to its vector mod span(A)
     live = dict(enumerate(BitMatrix(len(rows), n, tuple(rows)).column_ints()[::-1]))
-    order, cuts = [], []
+    order, profile = [], []
     while live:
         pick = next((j for j, v in live.items() if not v), None)
         if pick is None:
@@ -480,23 +481,55 @@ def _connectivity_order(rows: Sequence[int], n: int,
         rref = tuple([u & ~bit for u in rref if u != head])
         if head > bit:  # no other word holds the rest of head's bits as a pivot
             rref = _insert(rref, head ^ bit)
-        cuts.append(rank + len(rref) - r)
-    return order, cuts
+        profile.append((rank, len(rref)))
+    return order, profile
+
+
+@cache
+def _subspaces(top: int) -> tuple[tuple[int, ...], ...]:
+    """Entry [l][y], l <= top: the subspaces of F_2^l of dimension at most y,
+    partial sums of the Gaussian binomials [l, y] = [l - 1, y - 1] + 2^y [l - 1, y]."""
+    table, row = [], [1]
+    for _ in range(top + 1):
+        table.append(tuple(accumulate(row)))
+        row = [1, *[a + (b << y) for y, (a, b) in enumerate(zip(row, row[1:]), 1)], 1]
+    return tuple(table)
 
 
 def _walk_order(rows: Sequence[int], n: int) -> list[int]:
-    """``_walk``'s column order: the greedy ``_connectivity_order``, or where its
-    cuts are wide, its lookahead order if that has a lower width sum (the sum
-    over the cuts of r(A) + r(B)).  Both are row-invariant, so the choice is."""
-    order, cuts = _connectivity_order(rows, n)
-    # the lookahead costs 1.3-2x the greedy, its pair counts about n^2 a step;
-    # on random 7 x 18 to 12 x 30 it paid on the whole only where the greedy's
-    # cuts had sum 2^width over n^2
-    if sum(1 << c for c in cuts) > n * n:
-        other, wider = _connectivity_order(rows, n, lookahead=True)
-        if sum(wider) < sum(cuts):
-            return other
-    return order
+    """``_walk``'s column order: of the greedy ``_connectivity_order`` and, where
+    its cuts are wide, the lookahead order, each forward or reversed, the one
+    whose bound on the DP's kept states is lowest, the first on a tie.
+
+    At a cut of prefix rank a and suffix rank b, width l = a + b - r <=
+    min(r, n - r), a kept state of rem >= 4 words is a subspace of
+    dimension b - rem of the l-dimensional span(A) ∩ span(B), so the cut
+    keeps at most ``_subspaces(top)[l][min(l, b - 4)]`` states, none where
+    b < 4.  The bound sums that over the cuts the walk visits, the one
+    before each column; the cut after the last has b = 0 and adds nothing.
+    Reversed, a and b swap.  All four are row-invariant, so the choice is.
+    """
+    r = len(rows)
+    greedy = _connectivity_order(rows, n)
+    candidates = [greedy]
+    # the lookahead costs 1.3-2x the greedy, its pair counts about n^2 a step,
+    # so it is built only where the greedy's cuts have sum 2^width over n^2:
+    # built always, it made banded 30 x 90 2.5x slower
+    if sum(1 << (a + b - r) for a, b in greedy[1]) > n * n:
+        candidates.append(_connectivity_order(rows, n, lookahead=True))
+    subspaces = _subspaces(min(r, n - r))  # no cut is wider
+    walks = []  # (bound, order)
+    for order, profile in candidates:
+        forward = backward = 0
+        for a, b in [(0, r), *profile]:  # (r(A), r(B)) before each column, and after the last
+            width = a + b - r
+            kept = subspaces[width]
+            if b > 3:
+                forward += kept[min(width, b - 4)]
+            if a > 3:
+                backward += kept[min(width, a - 4)]
+        walks += [(forward, order), (backward, order[::-1])]
+    return min(walks, key=lambda walk: walk[0])[1]
 
 
 def basis_count(gen: BitMatrix, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -532,7 +565,11 @@ def _walk(start: tuple[int, ...], n: int, budget: int,
     three words is never kept but completed at once in closed form
     (``_completions``), each distinct one once, its count kept in the
     caller's dict ``closed``, so r <= 3 walks no column.  A state is fixed
-    by span(A) ∩ span(later columns), usually far fewer than C(n, r).
+    by span(A) ∩ span(later columns), usually far fewer than C(n, r): one of
+    rem words is a subspace of it of dimension r(later columns) - rem, so
+    a walk ends once the later columns have rank below 4, and
+    ``_walk_order`` picks the order, and its direction, by the bound that
+    puts on the states kept.
     At r = 4 a state's only four-word child is its skip child, so the walk
     is one chain in no dict, from one column its head holds to the next,
     each column passed still one visit.

@@ -68,9 +68,10 @@ def _search_argvs() -> list[list[str]]:
                       "--witnesses", witnesses, "--format", "json"])
     calls.append(["search", "--k", "1", "--n", "6", "--samples", "20"])
     calls.append(["search", "--k", "6", "--n", "9", "--samples", "10", "--format", "json"])
-    # each side of the least budget that scores these candidates at k = 4 and 5
-    for k, n, budget in ((4, 10, "6"), (4, 10, "7"), (5, 10, "16"), (5, 10, "17"),
-                         (4, 6, "1")):
+    # each side of the least budget that scores these candidates at k = 4 and 5,
+    # and at k = 5 the budgets 16 and 17 that a walk in width-sum order needed
+    for k, n, budget in ((4, 10, "6"), (4, 10, "7"), (5, 10, "11"), (5, 10, "12"),
+                         (5, 10, "16"), (5, 10, "17"), (4, 6, "1")):
         calls.append(["search", "--k", str(k), "--n", str(n), "--samples", "30",
                       "--budget", budget])
     calls.append(["search", "--k", "4", "--n", "10", "--exhaustive", "--budget", "1000"])
@@ -207,6 +208,11 @@ def _corpus_argvs() -> list[list[str]]:
         calls.append(["verify", path, "--format", "json", "--trials", "3"])
     for path, (dual, _) in corpus_duals(files).items():
         calls.append(["verify", path, dual, "--trials", "3"])
+    # count at the least budget of its DP, and at the larger one that a walk in
+    # width-sum order needed
+    for path, budgets in ((f"{CORPUS}/23_8x19.txt", ("337", "696")),
+                          (f"{CORPUS}/29_9x22.txt", ("1585", "3567"))):
+        calls += [["count", path, "--budget", budget] for budget in budgets]
     return calls
 
 

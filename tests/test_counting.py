@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -490,7 +491,7 @@ def test_basis_count_states_are_subspaces():
 
 
 def test_basis_count_budget():
-    # 209 visits to states of four or more words; states of three or
+    # 121 visits to states of four or more words; states of three or
     # fewer close at once, so a side of dimension 3 needs no visit
     with pytest.raises(BudgetError):
         basis_count(random_full_rank(5, 30, seed=3), budget=5)
@@ -498,7 +499,7 @@ def test_basis_count_budget():
 
 def test_analyze_auto_counts_past_the_scan_budget():
     # C(30, 5) = 142 506 subsets would refuse a scan at this budget, but
-    # the DP visits only 209 states
+    # the DP visits only 121 states
     m = random_full_rank(5, 30, seed=3)
     with pytest.raises(BudgetError):
         analyze(m, mode="oracle", budget=2_000)
@@ -533,7 +534,7 @@ def test_analyze_counts_a_banded_primal_within_a_small_budget():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_analyze_counts_a_banded_dual_within_a_small_budget(seed):
     # k >= n - k: the dual generator comes in the systematic form's
-    # column order, and the DP's connectivity order needs 63 to 81 state
+    # column order, and the DP's own column order needs 49 to 57 state
     # visits; walked unordered, that order needs 12,000 to 26,000
     m = _banded(24, 38, seed)
     rep = analyze(m, budget=1_000)
@@ -542,7 +543,7 @@ def test_analyze_counts_a_banded_dual_within_a_small_budget(seed):
 
 
 def test_basis_count_banded_within_a_small_budget():
-    # 48 state visits
+    # 43 state visits
     m = _banded(10, 24, seed=1)
     assert basis_count(m, budget=1_000) == brute_force_counts(m).full_rank_count
 
@@ -559,7 +560,7 @@ def test_basis_count_wide_banded_matches_reversed_order(k, n, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_analyze_counts_shuffled_banded_in_connectivity_order(seed):
     # shuffling the columns spreads the band, and the input order needs
-    # over 400,000 visits; the DP's own column order needs 322 to 4,037
+    # over 400,000 visits; the DP's own column order needs 241 to 4,037
     m = _banded(24, 72, seed)
     perm = list(range(72))
     random.Random(seed).shuffle(perm)
@@ -580,7 +581,10 @@ _PINNED_DP = {
     # min(r, n - r) <= 4: the columns in the given order
     "random 4x30": lambda b: basis_count(random_full_rank(4, 30, seed=3), budget=b),
     "random 8x12": lambda b: basis_count(random_full_rank(8, 12, seed=0), budget=b),
-    # min(r, n - r) > 4: the DP's connectivity order, from 9x22 on its lookahead order
+    # min(r, n - r) > 4: of the greedy and lookahead orders, forward or reversed, the
+    # one with the lowest bound on kept states: the reversed greedy at 5x30, 8x19,
+    # banded 30x90, 12x36 and systematic 6x12, the reversed lookahead at 9x22 and
+    # 10x24, the lookahead at 11x26 and the greedy at systematic 5x10
     "random 5x30": lambda b: basis_count(random_full_rank(5, 30, seed=3), budget=b),
     "random 8x19": lambda b: basis_count(random_full_rank(8, 19, seed=1), budget=b),
     "random 9x22": lambda b: basis_count(random_full_rank(9, 22, seed=4), budget=b),
@@ -601,15 +605,15 @@ _PINNED_DP = {
 @pytest.mark.parametrize("case, visits, independent", [
     ("random 4x30", 23, 9_161),
     ("random 8x12", 81, 161),
-    ("random 5x30", 209, 50_567),
-    ("random 8x19", 282, 15_510),
-    ("random 9x22", 3_631, 179_389),
-    ("random 10x24", 7_293, 587_488),
+    ("random 5x30", 121, 50_567),
+    ("random 8x19", 194, 15_510),
+    ("random 9x22", 1_903, 179_389),
+    ("random 10x24", 5_896, 587_488),
     ("random 11x26", 33_563, 2_512_012),
-    ("banded 30x90", 309, 8_316_738_440_768_340),
-    ("banded 12x36", 90, 332_738),
+    ("banded 30x90", 292, 8_316_738_440_768_340),
+    ("banded 12x36", 79, 332_738),
     ("systematic 5x10", 13, 144),
-    ("systematic 6x12", 18, 168),
+    ("systematic 6x12", 12, 168),
     ("systematic 4x10", 7, 131),
     ("dual of random 26x30", 27, 7_179),
 ])
@@ -625,15 +629,35 @@ def test_dp_visits_are_pinned(case, visits, independent):
     assert count(visits) == independent
 
 
+def _rank_profile(rows: list[list[int]], order: list[int]) -> list[tuple[int, int]]:
+    """(r(A), r(B)) after each column of order, A the columns walked and B the rest, by naive ranks."""
+    def r(cols):
+        return naive_rank([[row[j] for j in cols] for row in rows])
+    return [(r(order[:t]), r(order[t:])) for t in range(1, len(order) + 1)]
+
+
+def _subspaces_at_most(width: int, dim: int) -> int:
+    """Subspaces of F_2^width of dimension at most dim, counted one by one."""
+    return sum(len(basis) <= dim for basis in naive_subspace_bases(width))
+
+
+def _kept_bound(rows: list[list[int]], order: list[int]) -> int:
+    """The bound on the states the DP keeps walking order, summed over the cuts it visits."""
+    r = len(rows)
+    cuts = [(0, r), *_rank_profile(rows, order)][:-1]  # the cut before each column
+    return sum(_subspaces_at_most(a + b - r, b - 4) for a, b in cuts)
+
+
 @given(st.one_of(full_rank_matrices(), full_rank_with_repeats()), st.integers(0, 99))
 @example([[1, 0, 1, 1, 0]], 0)  # a zero column and a repeated column
 @example([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]], 1)  # zero and repeated columns
 @example([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)  # k = n: every column a coloop
-# the greedy and lookahead orders differ, with equal width sums
+# the greedy and lookahead orders differ, with equal width sums; the reversed
+# greedy has the lowest bound and is walked
 @example([[0, 0, 1, 1, 1, 0, 0, 0, 1, 1], [1, 1, 1, 1, 0, 0, 0, 1, 1, 0],
           [0, 0, 0, 1, 1, 1, 0, 0, 1, 0], [0, 1, 1, 1, 1, 0, 0, 1, 0, 0],
           [0, 0, 1, 0, 1, 0, 0, 1, 0, 1]], 3)
-# wide enough to build the lookahead order, whose lower width sum is walked
+# wide enough to build the lookahead order, whose reversal has the lowest bound
 @example([[0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1], [0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0],
           [1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1], [0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0],
           [1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0]], 4)
@@ -648,21 +672,71 @@ def test_connectivity_order_is_a_row_invariant_permutation(rows, seed):
         return (*(counting._connectivity_order(bits, n, ahead) for ahead in (False, True)),
                 counting._walk_order(bits, n))
 
-    def widths(order):  # r(A) + r(B) - r after each column, by naive ranks
-        def r(cols):
-            return naive_rank([[row[j] for j in cols] for row in rows])
-        return [r(order[:t]) + r(order[t:]) - len(rows) for t in range(1, n + 1)]
-
     greedy, lookahead, walked = orders_of(m)
     variant = next(counting._row_equivalents(m.bits, 1, random.Random(seed)))
     assert orders_of(BitMatrix(m.rows, n, tuple(variant))) == (greedy, lookahead, walked)
-    for order, cuts in (greedy, lookahead):
+    for order, profile in (greedy, lookahead):
         assert sorted(order) == list(range(n))
-        assert cuts == widths(order)
+        assert profile == _rank_profile(rows, order)
         ordered = permute_columns(m, sorted(range(n), key=order.__getitem__))
         assert basis_count(ordered) == independent
-    assert walked in (greedy[0], lookahead[0])
-    assert sum(widths(walked)) <= sum(greedy[1])
+    assert walked in (greedy[0], greedy[0][::-1], lookahead[0], lookahead[0][::-1])
+    # the greedy, forward and reversed, is always a candidate
+    assert _kept_bound(rows, walked) <= min(_kept_bound(rows, greedy[0]),
+                                            _kept_bound(rows, greedy[0][::-1]))
+
+
+@st.composite
+def ordered_shapes(draw):
+    """Full-row-rank k x n rows with min(k, n - k) >= 5, the shapes the DP orders.
+
+    Drawn at random, or from k unit columns at distinct positions and a
+    small pool, always holding the zero column, for the rest.
+    """
+    n = draw(st.integers(10, 12))
+    k = draw(st.integers(5, n - 5))
+    if draw(st.booleans()):
+        cols = [draw(st.integers(0, (1 << k) - 1)) for _ in range(n)]
+    else:
+        pivots = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        pool = [0] + draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=4))
+        cols = [draw(st.sampled_from(pool)) for _ in range(n)]
+        for i, j in enumerate(pivots):
+            cols[j] = 1 << i
+    rows = [[(c >> i) & 1 for c in cols] for i in range(k)]
+    assume(naive_rank(rows) == k)
+    return rows
+
+
+def _kept_per_column(count) -> list[int]:
+    """The states a DP keeps before each column until it ends, read off the
+    ``BudgetError`` each budget of the visits so far raises."""
+    kept, visits = [], 0
+    while True:
+        try:
+            count(visits)
+            return kept
+        except BudgetError as exc:
+            more = int(str(exc).split()[5])  # subset DP needs at least {more} state visits
+            kept.append(more - visits)
+            visits = more
+
+
+@given(ordered_shapes())
+@settings(max_examples=60, deadline=None)
+def test_walk_keeps_no_more_states_at_a_cut_than_its_bound(rows):
+    # at a cut of ranks (a, b), a kept state of four or more words is a subspace
+    # of dimension at most b - 4 of span(A) ∩ span(B), of dimension a + b - r
+    m = BitMatrix.from_lists(rows)
+    r, n = m.rows, m.cols
+    bits = permute_columns(m, range(n - 1, -1, -1)).bits  # the DP's layout
+    greedy, lookahead = (counting._connectivity_order(bits, n, ahead)[0] for ahead in (False, True))
+    for order in (greedy, greedy[::-1], lookahead, lookahead[::-1]):
+        with mock.patch.object(counting, "_walk_order", lambda rows, n: order):
+            kept = _kept_per_column(lambda budget: basis_count(m, budget=budget))
+        cuts = [(0, r), *_rank_profile(rows, order)]
+        for states, (a, b) in zip(kept, cuts):
+            assert states <= _subspaces_at_most(a + b - r, b - 4)
 
 
 def test_subspace_bases_count_every_subspace_once():
@@ -1291,7 +1365,7 @@ def test_complement_duality_detects_one_flipped_subset(g74_sys, h74, monkeypatch
 
 
 def test_oracle_scan_matches_dp_at_9x22():
-    # 3,631 visits to states of four or more words
+    # 1,903 visits to states of four or more words
     m = random_full_rank(9, 22, seed=4)
     assert analyze(m, "oracle").full_rank_count == basis_count(m, budget=25_000)
 
