@@ -23,10 +23,11 @@ any number of k x n row sets, deciding each state shape and building a
 closing one's tables once, in a table that ends with the call that made
 it (for a ``verify``, ``verify_checks``, whose two sides also share one
 store of lane rows).  The DP restricts the subcode to the later columns,
-counts the prefixes that share it together and finishes a subcode of
-at most three words in closed form, so a four-word start walks as one
-chain of states.  Its one entry, ``_walk``, starts from
-``gf2.reduced_basis`` and alone chooses the DP's column order.
+counts the prefixes that share it together, steps its four-word states
+by an unrolled reduction and finishes a subcode of at most three words
+in closed form from power sums, so a four-word start walks as one chain
+of states.  Its one entry, ``_walk``, starts from ``gf2.reduced_basis``
+and alone chooses the DP's column order.
 
 The DP and the scan are limited by one work budget, counted in visits
 to DP states of four or more words or in subsets scanned.  Every
@@ -408,25 +409,26 @@ def _completions(key: tuple[int, ...]) -> int:
     basis.  With m_v the number of columns whose bits read the nonzero
     pattern v (bit i from word i), that is e_len(m) over distinct patterns,
     less for three words the m_u * m_v * m_(u ^ v) of the Fano plane's 7 lines.
+    The m_v are read off 7 popcounts, of the words and their ANDs, and e1 to
+    e3 off the power sums p_i by Newton: 2 e2 = p1^2 - p2, 6 e3 = p1^3 - 3 p1 p2 + 2 p3.
     """
     words = len(key)
     a, b, c = key if words == 3 else key + (0,) * (3 - words)
     ab = a & b
-    abc = ab & c
-    m1, m2 = (a & ~(b | c)).bit_count(), (b & ~(a | c)).bit_count()
-    m3, m4 = (ab ^ abc).bit_count(), (c & ~(a | b)).bit_count()
-    m5, m6 = (a & c ^ abc).bit_count(), (b & c ^ abc).bit_count()
-    m7 = abc.bit_count()
-    e1 = e2 = e3 = 0
-    for m in (m1, m2, m3, m4, m5, m6, m7):
-        e3 += e2 * m
-        e2 += e1 * m
-        e1 += m
+    m7 = (ab & c).bit_count()
+    m3, m5, m6 = ab.bit_count() - m7, (a & c).bit_count() - m7, (b & c).bit_count() - m7
+    m1, m2 = a.bit_count() - m3 - m5 - m7, b.bit_count() - m3 - m6 - m7
+    m4 = c.bit_count() - m5 - m6 - m7
+    q1, q2, q3, q4, q5, q6, q7 = m1 * m1, m2 * m2, m3 * m3, m4 * m4, m5 * m5, m6 * m6, m7 * m7
+    p1 = m1 + m2 + m3 + m4 + m5 + m6 + m7
+    p2 = q1 + q2 + q3 + q4 + q5 + q6 + q7
     if words < 3:
-        return (1, e1, e2)[words]
+        return (1, p1, (p1 * p1 - p2) >> 1)[words]
+    p3 = q1 * m1 + q2 * m2 + q3 * m3 + q4 * m4 + q5 * m5 + q6 * m6 + q7 * m7
     # the lines 123, 145, 167, 246, 257, 347 and 356
-    return e3 - (m1 * (m2 * m3 + m4 * m5 + m6 * m7) + m2 * (m4 * m6 + m5 * m7)
-                 + m3 * (m4 * m7 + m5 * m6))
+    return (p1 * (p1 * p1 - 3 * p2) + 2 * p3) // 6 - (
+        m1 * (m2 * m3 + m4 * m5 + m6 * m7) + m2 * (m4 * m6 + m5 * m7)
+        + m3 * (m4 * m7 + m5 * m6))
 
 
 def _connectivity_order(rows: Sequence[int], n: int,
@@ -454,20 +456,23 @@ def _connectivity_order(rows: Sequence[int], n: int,
     live = dict(enumerate(BitMatrix(len(rows), n, tuple(rows)).column_ints()[::-1]))
     order, profile = [], []
     while live:
-        pick = next((j for j, v in live.items() if not v), None)
-        if pick is None:
-            coloops = [w for w in rref if not w & (w - 1)]  # units in B's row space
-            if coloops:
-                pick = n - max(coloops).bit_length()
-            elif lookahead:  # columns sharing each vector, then pairs summing to it
-                share = Counter(live.values())
-                pairs = dict.fromkeys(share, 0)
-                for u, v in combinations(share, 2):
-                    if u ^ v in pairs:
-                        pairs[u ^ v] += share[u] * share[v]
-                pick = max(live, key=lambda j: (share[live[j]], pairs[live[j]]))
+        for pick, v in live.items():
+            if not v:  # in span(A)
+                break
+        else:
+            for w in rref:  # a unit word is a coloop of B, the first found the top one
+                if not w & (w - 1):
+                    pick = n - w.bit_length()
+                    break
             else:
-                pick = next(iter(live))
+                pick = next(iter(live))  # the lowest column of B
+                if lookahead:  # columns sharing each vector, then pairs summing to it
+                    share = Counter(live.values())
+                    pairs = dict.fromkeys(share, 0)
+                    for u, v in combinations(share, 2):
+                        if u ^ v in pairs:
+                            pairs[u ^ v] += share[u] * share[v]
+                    pick = max(live, key=lambda j: (share[live[j]], pairs[live[j]]))
         order.append(pick)
         w = live.pop(pick)
         if w:  # add w to span(A) by clearing its lowest bit from every column
@@ -477,8 +482,13 @@ def _connectivity_order(rows: Sequence[int], n: int,
                 if v & low:
                     live[j] = v ^ w
         bit = 1 << (n - 1 - pick)  # and drop the column from B's row space
-        head = next((u for u in rref if bit <= u < bit << 1), 0)
-        rref = tuple([u & ~bit for u in rref if u != head])
+        head, rest = 0, []
+        for u in rref:
+            if bit <= u < bit << 1:
+                head = u
+            else:
+                rest.append(u & ~bit)
+        rref = tuple(rest)
         if head > bit:  # no other word holds the rest of head's bits as a pivot
             rref = _insert(rref, head ^ bit)
         profile.append((rank, len(rref)))
@@ -549,6 +559,15 @@ def _over_budget(visits: int, budget: int) -> BudgetError:
     return BudgetError(f"subset DP needs at least {visits} state visits, over budget {budget}")
 
 
+def _skip(a: int, b: int, c: int, w: int) -> tuple[int, int, int, int]:
+    """``gf2._insert((a, b, c), w)`` unrolled, for a fully reduced a > b > c: w
+    in its place, each word above it that holds w's leading bit XORed with w."""
+    if w > b:
+        return (w, a, b, c) if w > a else (a ^ w if a ^ w < a else a, w, b, c)
+    a, b = a ^ w if a ^ w < a else a, b ^ w if b ^ w < b else b
+    return (a, b, w, c) if w > c else (a, b, c ^ w if c ^ w < c else c, w)
+
+
 def _walk(start: tuple[int, ...], n: int, budget: int,
           closed: dict[tuple[int, ...], int]) -> int:
     """The subset DP: independent r-subsets of n columns, r = len(start).
@@ -556,13 +575,14 @@ def _walk(start: tuple[int, ...], n: int, budget: int,
     ``start`` is the row space's reduced basis, column j at bit n - 1 - j
     (``gf2.reduced_basis``).  Unless min(r, n - r) <= 4, the columns are
     first put in ``_walk_order`` and the basis reduced again.  The walk
-    keeps a dict from a state to the number of prefixes A that reach it.
-    The state is the scan's: the subcode that vanishes on A, restricted
-    to the columns not yet walked, fully reduced.  Only the first word
-    can hold the next column: taking it drops that word, skipping it
-    clears the bit and reduces the word back in, and a word that reduces
-    to zero ends the state, as no completion exists.  A state of at most
-    three words is never kept but completed at once in closed form
+    keeps two dicts from a state to the number of prefixes A that reach
+    it, one for the states of four words and one for the larger.  The
+    state is the scan's: the subcode that vanishes on A, restricted to the
+    columns not yet walked, fully reduced.  Only the first word can hold
+    the next column: taking it drops that word, skipping it clears the bit
+    and reduces the word back in (``_skip`` on four words), and a word that
+    reduces to zero ends the state, as no completion exists.  A state of at
+    most three words is never kept but completed at once in closed form
     (``_completions``), each distinct one once, its count kept in the
     caller's dict ``closed``, so r <= 3 walks no column.  A state is fixed
     by span(A) ∩ span(later columns), usually far fewer than C(n, r): one of
@@ -583,52 +603,62 @@ def _walk(start: tuple[int, ...], n: int, budget: int,
         return _completions(start)
     full = 0
     if r == 4:  # the chain of single states
+        h, a, b, c = start
         while True:
-            head = start[0]
-            top = 1 << (head.bit_length() - 1)  # the next column any word holds
-            if n - head.bit_length() >= budget:  # that column j is the (j + 1)-th visit
+            top = 1 << (h.bit_length() - 1)  # the next column any word holds
+            if n - h.bit_length() >= budget:  # that column j is the (j + 1)-th visit
                 raise _over_budget(budget + 1, budget)
-            rest = start[1:]
+            rest = a, b, c
             done = closed.get(rest)
             if done is None:
                 done = closed[rest] = _completions(rest)
             full += done
-            if head == top:
+            if h == top:
                 return full
-            start = _insert(rest, head ^ top)
+            h, a, b, c = _skip(a, b, c, h ^ top)
     # a cut's r(A) + r(B) - r never exceeds min(r, n - r); up to 4, every
     # order keeps at most 67 subspaces live, and ordering costs more
     if min(r, n - r) > 4:
         order = _walk_order(start, n)  # column order[t] is at bit n - 1 - order[t]
         perm = sorted(range(n), key=order.__getitem__, reverse=True)  # that bit to column t
         start = reduced_basis(permute_columns(BitMatrix(r, n, start), perm))
-    states = {start: 1}
+    four, big = {}, {start: 1}  # the states of four words, and of more
     visits = 0
     for j in range(n):
-        visits += len(states)
+        visits += len(four) + len(big)
         if visits > budget:
             raise _over_budget(visits, budget)
         bit = 1 << (n - 1 - j)
-        nxt: dict[tuple[int, ...], int] = {}
-        get = nxt.get
-        for key, count in states.items():
+        next4: dict[tuple[int, ...], int] = {}
+        nextbig: dict[tuple[int, ...], int] = {}
+        get4, getbig = next4.get, nextbig.get
+        for key, count in four.items():
+            h, a, b, c = key
+            if h & bit:
+                rest = a, b, c
+                done = closed.get(rest)
+                if done is None:
+                    done = closed[rest] = _completions(rest)
+                full += count * done
+                if h == bit:  # the word vanishes on the later columns
+                    continue
+                key = _skip(a, b, c, h ^ bit)  # h holds no leading bit of the rest
+            next4[key] = get4(key, 0) + count
+        for key, count in big.items():
             head = key[0]
             if head & bit:
                 rest = key[1:]
-                if len(rest) < 4:
-                    done = closed.get(rest)
-                    if done is None:
-                        done = closed[rest] = _completions(rest)
-                    full += count * done
+                if len(rest) == 4:
+                    next4[rest] = get4(rest, 0) + count
                 else:
-                    nxt[rest] = get(rest, 0) + count
-                if head == bit:  # the word vanishes on the later columns
+                    nextbig[rest] = getbig(rest, 0) + count
+                if head == bit:
                     continue
                 key = _insert(rest, head ^ bit)  # head holds no leading bit of rest
-            nxt[key] = get(key, 0) + count
-        if not nxt:
+            nextbig[key] = getbig(key, 0) + count
+        if not next4 and not nextbig:
             break
-        states = nxt
+        four, big = next4, nextbig
     return full
 
 

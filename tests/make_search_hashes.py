@@ -3,6 +3,11 @@
 Run from any directory, with the package to pin on the path:
 
     PYTHONPATH=src python tests/make_search_hashes.py
+    PYTHONPATH=src python tests/make_search_hashes.py --check
+
+``--check`` writes nothing: it replays every pinned call, prints the
+argv of each whose exit code or output hash differs and exits 1 if any
+does.  It needs only the standard library.
 
 Each entry holds a call's argv, its exit code and the SHA-256 of its
 stdout and stderr, made in-process through ``cli.main`` from the
@@ -25,6 +30,7 @@ list every call whose entry changed.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -247,7 +253,23 @@ def outcome(argv: list[str], cwd: Path = ROOT) -> dict:
             "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
 
+def changed_calls() -> list[str]:
+    """The argvs, space-joined, of the pinned calls whose outcome differs now."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus(Path(tmp))
+        return [" ".join(entry["argv"]) for entry in json.loads(HASHES.read_text())
+                if outcome(entry["argv"], Path(tmp) if in_corpus(entry["argv"]) else ROOT)
+                != entry]
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Write or check " + HASHES.name + ".")
+    parser.add_argument("--check", action="store_true",
+                        help="replay the pinned calls, write nothing, exit 1 on a mismatch")
+    if parser.parse_args().check:
+        changed = changed_calls()
+        print("\n".join(changed) or "every pinned call matches")
+        sys.exit(1 if changed else 0)
     entries = [outcome(argv) for argv in _argvs()]
     with tempfile.TemporaryDirectory() as tmp:
         write_corpus(Path(tmp))

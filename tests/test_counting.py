@@ -436,6 +436,20 @@ def full_rank_with_repeats(draw):
 @example([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0]])
 # k = 3, where taking the first column leaves a two-word state
 @example([[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
+# k = 5, where a take from the five-word start leaves a four-word state h, a, b, c
+@example([[0, 0, 0, 1, 0, 0], [0, 1, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0],
+          [0, 1, 1, 0, 0, 0], [1, 1, 0, 1, 1, 0]])
+# and a later skip of such a state reduces h's rest w back in before a,
+# between a and b, between b and c, or after c: each count below is wrong
+# if w goes to a neighbouring place
+@example([[1, 0, 1, 0, 1, 1, 1], [1, 1, 0, 0, 1, 0, 1], [1, 0, 1, 0, 0, 1, 1],
+          [1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 0, 1, 0, 0]])  # before a
+@example([[0, 1, 1, 0, 1, 0, 1, 1], [0, 1, 0, 1, 0, 1, 1, 1], [0, 1, 0, 1, 1, 1, 1, 0],
+          [1, 1, 0, 1, 1, 1, 1, 1], [0, 1, 1, 0, 1, 1, 1, 1]])  # between a and b
+@example([[0, 1, 1, 0, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1, 0, 0], [0, 0, 0, 1, 1, 1, 1, 0, 0],
+          [0, 1, 0, 1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 1, 1, 1, 1, 1]])  # between b and c
+@example([[1, 0, 1, 1, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0, 0, 1],
+          [0, 0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1, 1, 1]])  # after c
 @settings(max_examples=150, deadline=None)
 def test_basis_count_matches_naive(rows):
     m = BitMatrix.from_lists(rows)
@@ -446,17 +460,20 @@ def test_basis_count_matches_naive(rows):
     assert analyze(m).full_rank_count == independent
 
 
-@given(st.lists(st.integers(0, 7), min_size=3, max_size=14))
-@example(list(range(1, 8)))  # all 7 nonzero column types: the Fano plane's 28 bases
-@example([1, 2, 3])  # a dependent line {a, b, a ^ b}
-@example([0, 3, 5, 6, 0])  # a line of weight-two types, with zero columns
-@example([1, 1, 2, 4, 4, 0, 7, 7, 6])  # repeated and zero columns
-@example([v for v in range(1, 8) for _ in range(v)])  # m_v = v: the 7 lines differ
+@given(st.integers(1, 3), st.lists(st.integers(0, 7), min_size=3, max_size=14))
+@example(3, list(range(1, 8)))  # all 7 nonzero column types: the Fano plane's 28 bases
+@example(3, [1, 2, 3])  # a dependent line {a, b, a ^ b}
+@example(3, [0, 3, 5, 6, 0])  # a line of weight-two types, with zero columns
+@example(3, [1, 1, 2, 4, 4, 0, 7, 7, 6])  # repeated and zero columns
+@example(3, [v for v in range(1, 8) for _ in range(v)])  # m_v = v: the 7 lines differ
+@example(2, [1, 1, 2, 3, 0, 3])  # e2 of the counts of patterns 1, 2 and 3, a zero column
+@example(1, [1, 0, 3, 0])  # e1: the word's weight
 @settings(max_examples=150, deadline=None)
-def test_three_word_closed_form_matches_naive(columns):
-    # three words close at once: e3 of the 7 pattern counts, less the
-    # 7 lines {u, v, u ^ v}; rank-deficient rows give 0
-    rows = [[c >> i & 1 for c in columns] for i in range(3)]
+def test_three_word_closed_form_matches_naive(height, columns):
+    # up to three words close at once: e1, e2 or e3 of the 7 pattern counts,
+    # from their power sums, for three less the 7 lines {u, v, u ^ v};
+    # rank-deficient rows give 0
+    rows = [[c >> i & 1 for c in columns] for i in range(height)]
     independent = len(naive_subset_split(rows)[1])
     words = tuple(sum(bit << j for j, bit in enumerate(row)) for row in rows)
     assert counting._completions(words) == independent
