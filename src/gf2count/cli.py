@@ -198,11 +198,11 @@ def run_search(args: argparse.Namespace) -> dict:
     so scanning P blocks alone covers all attainable values of I.  The
     candidates are every P block or seeded draws, first occurrences in
     order, and ``counting.systematic_counts`` scores them: all at once,
-    bit-parallel from the nonsingular minors of P, where k * (n - k) <= 16
-    and the budget is at least 67 n, which no DP of such a shape can
-    reach, else by the DP.  ``--budget`` caps the ``--exhaustive``
-    candidate count and each column multiset's visits to DP states of
-    four or more words, so it caps no DP at k <= 3.
+    bit-parallel from the nonsingular minors of P, where k * (n - k) <= 16,
+    else in closed form at k <= 3 and by the DP from k = 4.  ``--budget``
+    caps the ``--exhaustive`` candidate count and each column multiset's
+    visits to DP states of four or more words, so it caps no scoring where
+    k <= 3 or k * (n - k) <= 16.
     Returns a JSON-ready summary dict.
     """
     k, n = args.k, args.n

@@ -15,14 +15,16 @@ Three independent routes to the same pair of numbers:
 Both exact routes walk column prefixes keeping the subcode of the row
 space that vanishes on the prefix.  The scan walks depth first, each
 call returning its run of a lexicographic bitmap of the independent
-subsets as an int; where a cost rule says so it closes a state at once,
-as the AND over the subcode's nonzero words of the lanes that meet each
-word's support, read a chunk of columns at a time from tables of ORs,
-skipping the words too heavy to miss any completion.  One scanner serves
-any number of k x n row sets, deciding each state shape and building a
-closing one's tables once, in a table that ends with the call that made
-it (for a ``verify``, ``verify_checks``, whose two sides also share one
-store of lane rows).  The DP restricts the subcode to the later columns,
+subsets as an int.  A two-word state closes in one loop, a column at a
+time; where a cost rule says so a larger state closes at once, as the
+AND over the subcode's nonzero words of the lanes that meet each word's
+support, read a chunk of columns at a time from tables of ORs, skipping
+the words too heavy to miss any completion, and every other state builds
+its children by one rule.  One scanner serves any number of k x n row
+sets, deciding each state shape and building a closing one's tables
+once, in a table that ends with the call that made it (for a
+``verify``, ``verify_checks``, whose two sides also share one store of
+lane rows).  The DP restricts the subcode to the later columns,
 counts the prefixes that share it together, steps its four-word states
 by an unrolled reduction and finishes a subcode of at most three words
 in closed form from power sums, so a four-word start walks as one chain
@@ -37,9 +39,8 @@ column order.  ``analyze`` ties them together: it picks the cheaper side
 runs its exact methods from one ordered list, the formula when it is
 valid and the DP when nothing else runs.  ``brute_force_counts`` scans
 the side with fewer rows.  ``systematic_counts`` scores ``search``'s
-candidates [I | P].  Where k (n - k) <= 16 and the budget is at least
-67 n, more than any DP of the shape can visit, it scores them all at
-once, one to a 16-bit lane of an int: the count is the number of
+candidates [I | P].  Where k (n - k) <= 16 it scores them all at once,
+one to a 16-bit lane of an int: the count is the number of
 nonsingular square submatrices of P (Cauchy-Binet), each minor one
 Laplace step (AND, then XOR) from those one smaller.  Otherwise it
 scores a block in closed form from its bits for k <= 3, else by one walk
@@ -209,31 +210,30 @@ def _scanner(k: int, n: int, scans: int = 1,
     table of the ORs of every subset of its masks (Four Russians), so a
     word, one XOR of a basis word and an earlier word shifted down by
     start, is ORed in one lookup per chunk.  The rule above
-    ``_CLOSE_MAX_TABLE_BITS`` (``_closes``) decides a shape (m, rem), and
-    its width c, where a walk first reaches it, and a closing shape's
-    tables are built then, one OR an entry, from H, whose rows come by
-    Pascal's rule from rows of m - 1: H(m, r)[0] is the low C(m - 1, r - 1)
-    lanes and H(m, r)[c] = H(m - 1, r - 1)[c - 1] | H(m - 1, r)[c - 1] <<
-    C(m - 1, r - 1).  Every row set scanned shares those tables; ``scans``,
-    how many the caller means, weighs their build.  The rows H(m, r) depend
-    on the shape alone and are kept in ``lane_rows``, keyed by (m, r), which
-    a caller may hand to scanners of other row counts so that each row is
-    built once among them.
-    Other states branch: column x extends A when a basis word has bit x,
-    so the OR of the basis lists the next columns and no dependent prefix
-    is visited; taking x clears bit x with the first word that has it
-    and drops that word.  The completions whose next column is x start
-    at bit C(m, rem) - C(n - x, rem) (hockey-stick identity), where the
-    parent ORs in the child's run.  A one-word state's run is w >> start
-    and a state of no words is the empty AND, 1.  A three-word state
-    forms the runs of its two-word children inline, with no call:
-    completion y of the child at x starts at bit C(n - x - 1, 2) -
-    C(n - y, 2) of its run.
+    ``_CLOSE_MAX_TABLE_BITS`` (``_closes``) decides a shape (m, rem) of
+    three or more words, and its width c, where a walk first reaches it,
+    and a closing shape's tables are built then, one OR an entry, from H,
+    whose rows come by Pascal's rule from rows of m - 1: H(m, r)[0] is the
+    low C(m - 1, r - 1) lanes and H(m, r)[c] = H(m - 1, r - 1)[c - 1] |
+    H(m - 1, r)[c - 1] << C(m - 1, r - 1).  Every row set scanned shares
+    those tables; ``scans``, how many the caller means, weighs their
+    build.  The rows H(m, r) depend on the shape alone and are kept in
+    ``lane_rows``, keyed by (m, r), which a caller may hand to scanners of
+    other row counts so that each row is built once among them.
+    Other states of three or more words branch, all by one rule: column x
+    extends A when a basis word has bit x, so the OR of the basis lists
+    the next columns and no dependent prefix is visited; taking x clears
+    bit x with the first word that has it and drops that word.  The
+    completions whose next column is x start at bit C(m, rem) - C(n - x,
+    rem) (hockey-stick identity), where the parent ORs in the child's run.
+    A state of no words is the empty AND, 1, and a one-word state's run
+    is w >> start.  A two-word state closes in one loop, with no call:
+    taking y leaves the one word of its span that vanishes on y, whose
+    run w >> (y + 1) starts at bit C(m, 2) - C(n - y, 2).
     """
     binom = [[1] * (n + 1)]  # binom[r][a] = C(a, r), summed by the hockey stick
-    for _ in range(max(k, 2)):
+    for _ in range(k):
         binom.append([0, *accumulate(binom[-1][:n])])
-    pair = binom[2]
     # table[rem][start] holds (c, the OR tables of H(n - start, rem) in chunks of c)
     # if a state of rem words from column start closes, else (), and None before a
     # walk first reaches one
@@ -263,12 +263,25 @@ def _scanner(k: int, n: int, scans: int = 1,
 
     def walk(basis: Sequence[int], start: int) -> int:
         rem = len(basis)
+        if rem < 2:
+            return basis[0] >> start if basis else 1
         col = binom[rem]
         size = col[n - start]
+        if rem == 2:  # closed: taking column y leaves the one word that vanishes on y
+            p, q = basis
+            run = 0
+            viable = (p | q) & ((1 << (n - 1)) - (1 << start))
+            while viable:
+                bit = viable & -viable
+                viable ^= bit
+                y = bit.bit_length() - 1
+                w = p if not p & bit else (p ^ q if q & bit else q)
+                run |= (w >> (y + 1)) << (size - col[n - y])
+            return run
         held = table[rem][start]
         if held is None:
             m = n - start
-            chunk = _closes(m, rem, k, n, scans) if rem > 2 else 0
+            chunk = _closes(m, rem, k, n, scans)
             held = table[rem][start] = or_tables(m, rem, chunk) if chunk else ()
         if held:
             chunk, held = held
@@ -288,36 +301,11 @@ def _scanner(k: int, n: int, scans: int = 1,
                     w >>= chunk
                 block &= run
             return block
-        if rem < 2:
-            return basis[0] >> start if basis else 1
         viable = 0
         for w in basis:
             viable |= w
         viable &= (2 << (n - rem)) - (1 << start)  # columns that leave room for rem - 1
         block = 0
-        if rem == 3:
-            a, b, c = basis
-            while viable:
-                low = viable & -viable
-                viable ^= low
-                x = low.bit_length() - 1
-                if a & low:  # the two-word child that vanishes on x
-                    p, q = (b ^ a if b & low else b), (c ^ a if c & low else c)
-                elif b & low:
-                    p, q = a, (c ^ b if c & low else c)
-                else:
-                    p, q = a, b
-                width = pair[n - x - 1]
-                run = 0
-                inner = (p | q) & ((1 << (n - 1)) - (low << 1))
-                while inner:
-                    bit = inner & -inner
-                    inner ^= bit
-                    y = bit.bit_length() - 1
-                    w = p if not p & bit else (p ^ q if q & bit else q)  # vanishes on y
-                    run |= (w >> (y + 1)) << (width - pair[n - y])
-                block |= run << (size - col[n - x])
-            return block
         while viable:
             low = viable & -viable
             viable ^= low
@@ -726,9 +714,8 @@ def systematic_counts(
 ) -> Iterator[int]:
     """``basis_count`` of [I | P] for each block P, read as by ``systematic_rows``.
 
-    Where k * w <= 16 and budget >= 67 (k + w), so that no walk of the
-    shape could exceed it, ``_minor_scores`` scores the blocks
-    bit-parallel from the nonsingular minors of P.  Elsewhere, for k <= 3
+    Where k * w <= 16, ``_minor_scores`` scores the blocks bit-parallel
+    from the nonsingular minors of P, with no budget.  Elsewhere, for k <= 3
     the rows of [I_3 | P], P's missing rows zero, are one
     3-tuple of shifted masks, counted at once by ``_completions`` with no
     column order; an added unit row is a coloop, so no count changes.
@@ -738,9 +725,10 @@ def systematic_counts(
     n - 1 - j, row i of [I | P] in that column order is the identity's
     bit n - 1 - i over the key's characters i, i + k, ... read in binary,
     which it alone holds, so the rows are fully reduced and are ``_walk``'s
-    start as they stand.  Raises BudgetError as ``_walk`` does, not at k <= 3.
+    start as they stand.  Raises BudgetError as ``_walk`` does, not at
+    k <= 3 or k * w <= 16.
     """
-    if k * w <= 16 and budget >= 67 * (k + w):
+    if k * w <= 16:
         yield from _minor_scores(blocks, k, w)
         return
     if k <= 3:

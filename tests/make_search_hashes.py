@@ -17,7 +17,9 @@ budget) and ``count``, ``weights``, ``sets`` and ``verify`` on the
 fixtures, usage errors, rank-deficient input and small budgets
 included.  A seeded random corpus (``corpus``: 4 x 10 to 9 x 22, zero
 and repeated columns and shapes with k > n - k among them) adds
-``sets``, ``count --list-sets`` and ``verify`` calls on matrices written
+``sets``, ``count --list-sets`` and ``verify`` calls, and thin wide
+matrices (2 x 30 to 4 x 80, whose scans branch) ``count --mode oracle``
+and ``sets`` calls, on matrices written
 to a scratch directory, named there by relative paths, so no absolute
 path enters the output, and ``verify`` calls with a supplied dual
 (``corpus_duals``) on the corpus matrices whose systematic form moves
@@ -39,10 +41,11 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 from math import comb
 from pathlib import Path
 
-from gf2count import parse_matrix, rank
+from gf2count import BitMatrix, rank
 from gf2count.cli import main
 from naive import naive_dual_basis, naive_systematic_form
 
@@ -75,14 +78,16 @@ def _search_argvs() -> list[list[str]]:
     calls.append(["search", "--k", "1", "--n", "6", "--samples", "20"])
     calls.append(["search", "--k", "6", "--n", "9", "--samples", "10", "--format", "json"])
     # each side of the least budget that scores these candidates at k = 4 and 5,
-    # and at k = 5 the budgets 16 and 17 that a walk in width-sum order needed
+    # and at k = 5 the budgets 16 and 17 that a walk in width-sum order needed;
+    # 4 x 6 at budget 1, which its minors score with no budget
     for k, n, budget in ((4, 10, "6"), (4, 10, "7"), (5, 10, "11"), (5, 10, "12"),
                          (5, 10, "16"), (5, 10, "17"), (4, 6, "1")):
         calls.append(["search", "--k", str(k), "--n", str(n), "--samples", "30",
                       "--budget", budget])
     calls.append(["search", "--k", "4", "--n", "10", "--exhaustive", "--budget", "1000"])
     # shapes with k * (n - k) = 16, the widest that systematic_counts scores one
-    # block to a 16-bit lane, and at 4 x 8 each side of its budget edge, 67 * n
+    # block to a 16-bit lane, and at 4 x 8 either side of 67 * n, the most visits
+    # a DP of the shape can make, which leave the scorer as it is
     for k, n in ((1, 17), (2, 10), (4, 8)):
         calls.append(["search", "--k", str(k), "--n", str(n), "--exhaustive",
                       "--format", "json"])
@@ -163,38 +168,45 @@ CORPUS_SHAPES = (
     (7, 18, 0, 0), (8, 13, 1, 0), (8, 16, 0, 0), (8, 19, 0, 0), (8, 20, 1, 1),
     (9, 14, 0, 0), (9, 15, 0, 2), (9, 18, 0, 0), (9, 20, 0, 0), (9, 22, 0, 0),
 )
+# thin wide shapes, drawn after CORPUS_SHAPES, whose scans branch below the top
+# state: ``count --mode oracle`` on each and ``sets`` on those of at most 500 subsets
+THIN_SHAPES = ((2, 30, 1, 0), (3, 12, 0, 1), (3, 19, 1, 1), (3, 80, 0, 0), (4, 80, 2, 0))
 
 
 def corpus() -> dict[str, str]:
-    """The seeded random matrices, relative file name to text, one per CORPUS_SHAPES entry.
-
-    Each is drawn until it has full row rank, with its zeroed columns
-    cleared and each repeated column a copy of a column left as drawn.
-    """
+    """The seeded random matrices, relative file name to text, one per
+    CORPUS_SHAPES entry, then one per THIN_SHAPES entry, by ``random_columns``."""
     rng = random.Random(28)
     files = {}
-    for i, (k, n, zeros, repeats) in enumerate(CORPUS_SHAPES):
-        while True:
-            cols = [rng.getrandbits(k) for _ in range(n)]
-            picked = rng.sample(range(n), zeros + repeats)
-            kept = [j for j in range(n) if j not in picked]
-            for j in picked[:zeros]:
-                cols[j] = 0
-            for j in picked[zeros:]:
-                cols[j] = cols[rng.choice(kept)]
-            text = "".join("".join(str(c >> r & 1) for c in cols) + "\n" for r in range(k))
-            if rank(parse_matrix(text)) == k:
-                break
+    for i, (k, n, zeros, repeats) in enumerate(CORPUS_SHAPES + THIN_SHAPES):
+        cols = random_columns(rng, k, n, zeros, repeats)
+        text = "".join("".join(str(c >> r & 1) for c in cols) + "\n" for r in range(k))
         files[f"{CORPUS}/{i:02d}_{k}x{n}.txt"] = text
     return files
 
 
+def random_columns(rng: random.Random, k: int, n: int, zeros: int, repeats: int) -> list[int]:
+    """The columns, bit r for row r, of a random k x n matrix drawn until it
+    has full row rank, with its zeroed columns cleared and each repeated
+    column a copy of a column left as drawn."""
+    while True:
+        cols = [rng.getrandbits(k) for _ in range(n)]
+        picked = rng.sample(range(n), zeros + repeats)
+        kept = [j for j in range(n) if j not in picked]
+        for j in picked[:zeros]:
+            cols[j] = 0
+        for j in picked[zeros:]:
+            cols[j] = cols[rng.choice(kept)]
+        if rank(BitMatrix.from_lists([[c >> r & 1 for c in cols] for r in range(k)])) == k:
+            return cols
+
+
 def corpus_duals(files: dict[str, str]) -> dict[str, tuple[str, str]]:
-    """A dual generator for each corpus matrix of at most 15 columns whose
-    systematic form moves columns, in the matrix's own column order, by
+    """A dual generator for each CORPUS_SHAPES matrix of at most 15 columns
+    whose systematic form moves columns, in the matrix's own column order, by
     ``naive_dual_basis``: matrix file name to (dual file name, text)."""
     duals = {}
-    for name, text in files.items():
+    for name, text in islice(files.items(), len(CORPUS_SHAPES)):
         rows = [[int(c) for c in line] for line in text.split()]
         n = len(rows[0])
         if n <= 15 and naive_systematic_form(rows)[1] != list(range(n)):
@@ -219,6 +231,10 @@ def _corpus_argvs() -> list[list[str]]:
     for path, budgets in ((f"{CORPUS}/23_8x19.txt", ("337", "696")),
                           (f"{CORPUS}/29_9x22.txt", ("1585", "3567"))):
         calls += [["count", path, "--budget", budget] for budget in budgets]
+    for (k, n, _, _), path in zip(THIN_SHAPES, islice(files, len(CORPUS_SHAPES), None)):
+        calls.append(["count", path, "--mode", "oracle", "--format", "json"])
+        if comb(n, k) <= 500:
+            calls.append(["sets", path, "--format", "json", "--set-limit", "2000"])
     return calls
 
 

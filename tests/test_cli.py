@@ -2,7 +2,8 @@ import json
 import random
 import subprocess
 import sys
-from math import comb
+from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -449,10 +450,10 @@ def test_search_matches_a_scan_of_every_candidate(capsys, k, n, mode):
     _check_search_by_scan(capsys, k, n, mode)
 
 
-@pytest.mark.parametrize("k, n", [(4, 6), (4, 7)])
+@pytest.mark.parametrize("k, n", [(4, 9), (5, 9)])
 def test_search_walks_each_column_multiset_once(monkeypatch, k, n):
-    # every block, as an exhaustive search scores them, on the DP path: a budget
-    # under 67 n, which at 4 x 7 an exhaustive search's 4,096 candidates exceed
+    # k * (n - k) > 16, so the DP scores the blocks: every column reordering of
+    # three random blocks, one walk per multiset of columns
     starts = []
     walk = counting._walk
 
@@ -462,10 +463,14 @@ def test_search_walks_each_column_multiset_once(monkeypatch, k, n):
 
     monkeypatch.setattr(counting, "_walk", spy)
     w = n - k
-    scores = list(counting.systematic_counts(range(1 << k * w), k, w, budget=67 * n - 1))
-    assert len(scores) == 2 ** (k * w)
-    # multisets of w columns drawn from the 2^k column values
-    assert len(starts) == comb(2 ** k + w - 1, w)
+    rng = random.Random(k * n)
+    bases = [[rng.getrandbits(k) for _ in range(w)] for _ in range(3)]
+    blocks = [sum((c >> i & 1) << (i * w + j) for j, c in enumerate(cols) for i in range(k))
+              for base in bases for cols in permutations(base)]
+    scores = list(counting.systematic_counts(blocks, k, w))
+    orders = factorial(w)
+    assert all(len(set(scores[g:g + orders])) == 1 for g in range(0, len(blocks), orders))
+    assert len(starts) == len({tuple(sorted(base)) for base in bases})
     assert len(set(starts)) == len(starts)
 
 
@@ -473,7 +478,7 @@ def test_search_walks_each_column_multiset_once(monkeypatch, k, n):
     (("--k", "3", "--n", "8", "--samples", "60"), False),
     (("--k", "4", "--n", "8", "--exhaustive"), False),
     (("--k", "4", "--n", "10", "--samples", "60"), True),  # k * (n - k) > 16
-    (("--k", "4", "--n", "6", "--exhaustive", "--budget", "400"), True),  # under 67 n
+    (("--k", "4", "--n", "6", "--exhaustive", "--budget", "400"), False),  # any budget
 ], ids=["3x8", "4x8", "4x10", "4x6-budget-400"])
 def test_search_scores_sixteen_bit_blocks_without_the_dp(capsys, monkeypatch, argv, walks):
     calls = []
@@ -562,7 +567,7 @@ def test_corpus_output_bytes_are_pinned(tmp_path):
     # the corpus is written so that no absolute path enters the output
     write_corpus(tmp_path)
     entries = [entry for entry in json.loads(HASHES.read_text()) if in_corpus(entry["argv"])]
-    assert len(entries) == 105
+    assert len(entries) == 112
     changed = [" ".join(entry["argv"]) for entry in entries
                if outcome(entry["argv"], tmp_path) != entry]
     assert not changed, "output changed for:\n" + "\n".join(changed)

@@ -38,6 +38,7 @@ from gf2count import (
 )
 from gf2count.counting import systematic_rows
 from gf2count.gf2 import reduced_basis
+from make_search_hashes import random_columns
 from naive import (
     mobius_full_rank_count,
     naive_dual_basis,
@@ -1058,6 +1059,22 @@ def test_scan_below_the_top_level_matches_naive_split(rows):
     assert res.bitmap == _lex_bitmap(set(ind), n, k)
     assert row_op_invariance_check(m, trials=3)
     assert complement_duality_check(m)
+
+
+def test_two_word_scan_states_match_naive_split_past_the_strategies():
+    # the strategies stop at n = 9: here a 2-row top closes in one loop up to
+    # n = 30, and a 3-row top branches below n = 20, each child a two-word state
+    rng = random.Random(33)
+    for k, n in [(2, n) for n in range(3, 31)] + [(3, n) for n in range(10, 20)]:
+        assert k == 2 or not counting._closes(n, k, k, n, 1)
+        for zeros, repeats in ((0, 0), (1, 0), (0, 2), (2, 1)):
+            if zeros + repeats + k > n:
+                continue
+            cols = random_columns(rng, k, n, zeros, repeats)
+            rows = [[c >> i & 1 for c in cols] for i in range(k)]
+            ind = naive_subset_split(rows)[1]
+            assert brute_force_counts(BitMatrix.from_lists(rows)).bitmap == _lex_bitmap(
+                set(ind), n, k)
 
 
 @st.composite
