@@ -60,7 +60,7 @@ from math import comb
 
 from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
 from .errors import BudgetError, ConditionError, ConsistencyError, DimensionError, RankError
-from .gf2 import (BitMatrix, _insert, _Record, _reduce_in, _set, full_rank_basis,
+from .gf2 import (BitMatrix, _insert, _Record, _rref, _set, full_rank_basis,
                   permute_columns, rank, reduced_basis)
 
 DEFAULT_BUDGET = 10_000_000
@@ -367,8 +367,8 @@ def brute_force_counts(
     if dual is None:
         if k > n - k:
             dual = dual_of(m)  # which judges m's rank
-        elif (got := rank(m)) != k:
-            raise RankError(f"matrix has rank {got}, full row rank {k} required")
+        else:
+            full_rank_basis(m)
     total = comb(n, k)
     if total > budget:
         raise BudgetError(f"{total} subsets to scan exceeds budget {budget}")
@@ -436,9 +436,7 @@ def _connectivity_order(rows: Sequence[int], n: int,
     soonest.  All are properties of the matroid contracted by A, so row
     operations do not change the order.
     """
-    rref: tuple[int, ...] = ()  # the rows restricted to B, fully reduced
-    for row in rows:
-        rref = _reduce_in(rref, row) or rref
+    rref = _rref(rows)  # the rows restricted to B, fully reduced
     rank = 0  # r(A)
     # B's columns, ascending, each to its vector mod span(A)
     live = dict(enumerate(BitMatrix(len(rows), n, tuple(rows)).column_ints()[::-1]))
@@ -562,7 +560,8 @@ def _walk(start: tuple[int, ...], n: int, budget: int,
 
     ``start`` is the row space's reduced basis, column j at bit n - 1 - j
     (``gf2.reduced_basis``).  Unless min(r, n - r) <= 4, the columns are
-    first put in ``_walk_order`` and the basis reduced again.  The walk
+    first put in ``_walk_order``, the words' bits moved in this layout, and
+    the words folded again by ``gf2._rref``.  The walk
     keeps two dicts from a state to the number of prefixes A that reach
     it, one for the states of four words and one for the larger.  The
     state is the scan's: the subcode that vanishes on A, restricted to the
@@ -607,9 +606,9 @@ def _walk(start: tuple[int, ...], n: int, budget: int,
     # a cut's r(A) + r(B) - r never exceeds min(r, n - r); up to 4, every
     # order keeps at most 67 subspaces live, and ordering costs more
     if min(r, n - r) > 4:
-        order = _walk_order(start, n)  # column order[t] is at bit n - 1 - order[t]
-        perm = sorted(range(n), key=order.__getitem__, reverse=True)  # that bit to column t
-        start = reduced_basis(permute_columns(BitMatrix(r, n, start), perm))
+        order = _walk_order(start, n)  # the walk's column t is at bit n - 1 - order[t]
+        perm = sorted(range(n), key=order[::-1].__getitem__, reverse=True)  # to n - 1 - t
+        start = _rref(permute_columns(BitMatrix(r, n, start), perm).bits)
     four, big = {}, {start: 1}  # the states of four words, and of more
     visits = 0
     for j in range(n):
@@ -1048,7 +1047,8 @@ def row_op_invariance_check(
 def _invariance_holds(m: BitMatrix, trials: int, seed: int, budget: int,
                       scan: Callable[[Sequence[int]], int], base: int | None = None) -> bool:
     """``row_op_invariance_check`` with every scan made by ``scan``, a k x n scanner;
-    ``base``, m's bitmap where the caller has it, saves m's scan."""
+    ``base``, m's bitmap where the caller has scanned m and judged its rank,
+    saves m's scan and rank check."""
     if trials < 0:
         raise DimensionError(f"negative trial count {trials}")
     k, n = m.rows, m.cols
@@ -1056,11 +1056,10 @@ def _invariance_holds(m: BitMatrix, trials: int, seed: int, budget: int,
         raise BudgetError(
             f"{trials + 1} scans of {comb(n, k)} subsets exceed budget {budget}"
         )
-    if (got := rank(m)) != k:
-        raise RankError(f"matrix has rank {got}, full row rank {k} required")
     import random  # loaded only by the row-op check
 
     if base is None:
+        full_rank_basis(m)
         base = scan(m.bits)
     rng = random.Random(seed)
     return all(scan(rows) == base for rows in _row_equivalents(m.bits, trials, rng))

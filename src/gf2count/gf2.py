@@ -5,16 +5,19 @@ holds the entry in column j.  Row XOR is then one integer XOR and rank
 computations stay fast for every width we care about without any
 per-entry loops.
 
-The one Gauss-Jordan elimination, ``reduced_basis``, puts column j at bit
-n - 1 - j so that a word's leading bit is its first column;
-``systematic_form``, ``codes.dual_of`` and the subset DP in ``counting``
-start from it, the first two through ``full_rank_basis``, which adds the
-rank check and the pivot columns.
+The one Gauss-Jordan elimination, ``_rref``, folds any words into their
+reduced row echelon form, and every elimination goes through it:
+``rank`` counts its words; ``reduced_basis`` first puts column j at bit
+n - 1 - j, so that a word's leading bit is its first column; and the
+subset DP in ``counting`` re-reduces its reordered start with it.
+``systematic_form``, ``codes.dual_of`` and the DP start from
+``reduced_basis``, the first two through ``full_rank_basis``, which adds
+the rank check and the pivot columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
 from .errors import DimensionError, FormatError, IndexSetError, RankError
@@ -149,19 +152,12 @@ def parse_matrix(text: str) -> BitMatrix:
 
 
 def rank(m: BitMatrix) -> int:
-    """Rank over GF(2), by inserting each row into a leading-bit basis."""
-    pivots: dict[int, int] = {}
-    r = 0
-    for v in m.bits:
-        while v:
-            h = v.bit_length()
-            p = pivots.get(h)
-            if p is None:
-                pivots[h] = v
-                r += 1
-                break
-            v ^= p
-    return r
+    """Rank over GF(2): the number of words ``_rref`` folds the rows into.
+
+    Rank does not depend on the column order, so the rows' bits are
+    folded as they stand.
+    """
+    return len(_rref(m.bits))
 
 
 class SystematicForm(_Record):
@@ -194,14 +190,6 @@ class SystematicForm(_Record):
         return BitMatrix(k, self.n - k, shifted)
 
 
-def _reduce_in(basis: tuple[int, ...], w: int) -> tuple[int, ...] | None:
-    """Add w to a fully reduced basis in descending order; None if w is in its span."""
-    for b in basis:
-        if w ^ b < w:  # w holds b's leading bit, which no other word holds
-            w ^= b
-    return _insert(basis, w) if w else None
-
-
 def _insert(basis: tuple[int, ...], w: int) -> tuple[int, ...]:
     """Add a nonzero w that holds no leading bit of a fully reduced basis."""
     out = []
@@ -213,6 +201,19 @@ def _insert(basis: tuple[int, ...], w: int) -> tuple[int, ...]:
     return tuple(out) + basis[len(out) - 1:]
 
 
+def _rref(words: Iterable[int]) -> tuple[int, ...]:
+    """The words' reduced row echelon form: descending, each leading bit
+    (pivot) held by no other word, zero and dependent words dropped."""
+    basis: tuple[int, ...] = ()
+    for w in words:
+        for b in basis:
+            if w ^ b < w:  # w holds b's leading bit, which no other word holds
+                w ^= b
+        if w:
+            basis = _insert(basis, w)
+    return basis
+
+
 def reduced_basis(m: BitMatrix) -> tuple[int, ...]:
     """m's rows in reduced row echelon form, column j at bit n - 1 - j.
 
@@ -220,11 +221,8 @@ def reduced_basis(m: BitMatrix) -> tuple[int, ...]:
     bit (pivot) is held by no other word.  The form is unique, whatever
     the row order, and has rank(m) words.
     """
-    n = m.cols
-    basis: tuple[int, ...] = ()
-    for row in m.bits:
-        basis = _reduce_in(basis, int(format(row, f"0{n}b")[::-1], 2)) or basis
-    return basis
+    spec = f"0{m.cols}b"
+    return _rref(int(format(row, spec)[::-1], 2) for row in m.bits)
 
 
 def full_rank_basis(m: BitMatrix) -> tuple[tuple[int, ...], list[int]]:

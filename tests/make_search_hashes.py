@@ -19,7 +19,9 @@ included.  A seeded random corpus (``corpus``: 4 x 10 to 9 x 22, zero
 and repeated columns and shapes with k > n - k among them) adds
 ``sets``, ``count --list-sets`` and ``verify`` calls, and thin wide
 matrices (2 x 30 to 4 x 80, whose scans branch) ``count --mode oracle``
-and ``sets`` calls, on matrices written
+and ``sets`` calls, and rank-deficient ones (a zero, repeated or summed
+row) ``count``, ``sets``, ``weights --dual`` and ``verify`` calls, all
+refused with exit 4, on matrices written
 to a scratch directory, named there by relative paths, so no absolute
 path enters the output, and ``verify`` calls with a supplied dual
 (``corpus_duals``) on the corpus matrices whose systematic form moves
@@ -41,8 +43,10 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 from itertools import islice
 from math import comb
+from operator import xor
 from pathlib import Path
 
 from gf2count import BitMatrix, rank
@@ -171,16 +175,27 @@ CORPUS_SHAPES = (
 # thin wide shapes, drawn after CORPUS_SHAPES, whose scans branch below the top
 # state: ``count --mode oracle`` on each and ``sets`` on those of at most 500 subsets
 THIN_SHAPES = ((2, 30, 1, 0), (3, 12, 0, 1), (3, 19, 1, 1), (3, 80, 0, 0), (4, 80, 2, 0))
+# rank-deficient shapes, drawn last: (k, n, terms), k - 1 independent rows and,
+# at a random place among them, the sum of ``terms`` of them (0 a zero row, 1 a
+# repeated row); every command on them exits 4
+DEFICIENT_SHAPES = ((7, 10, 3), (5, 10, 2), (3, 12, 0), (4, 9, 1))
 
 
 def corpus() -> dict[str, str]:
     """The seeded random matrices, relative file name to text, one per
-    CORPUS_SHAPES entry, then one per THIN_SHAPES entry, by ``random_columns``."""
+    CORPUS_SHAPES entry, then one per THIN_SHAPES entry, by ``random_columns``,
+    then one per DEFICIENT_SHAPES entry."""
     rng = random.Random(28)
     files = {}
     for i, (k, n, zeros, repeats) in enumerate(CORPUS_SHAPES + THIN_SHAPES):
         cols = random_columns(rng, k, n, zeros, repeats)
         text = "".join("".join(str(c >> r & 1) for c in cols) + "\n" for r in range(k))
+        files[f"{CORPUS}/{i:02d}_{k}x{n}.txt"] = text
+    for i, (k, n, terms) in enumerate(DEFICIENT_SHAPES, len(files)):
+        cols = random_columns(rng, k - 1, n, 0, 0)
+        rows = [sum((c >> r & 1) << j for j, c in enumerate(cols)) for r in range(k - 1)]
+        rows.insert(rng.randrange(k), reduce(xor, rng.sample(rows, terms), 0))
+        text = "".join(format(row, f"0{n}b")[::-1] + "\n" for row in rows)
         files[f"{CORPUS}/{i:02d}_{k}x{n}.txt"] = text
     return files
 
@@ -235,6 +250,10 @@ def _corpus_argvs() -> list[list[str]]:
         calls.append(["count", path, "--mode", "oracle", "--format", "json"])
         if comb(n, k) <= 500:
             calls.append(["sets", path, "--format", "json", "--set-limit", "2000"])
+    for path in islice(files, len(CORPUS_SHAPES + THIN_SHAPES), None):
+        calls += [["count", path], ["count", path, "--format", "json"],
+                  ["count", path, "--mode", "oracle"], ["sets", path],
+                  ["weights", path, "--dual"], ["verify", path, "--trials", "3"]]
     return calls
 
 

@@ -140,3 +140,39 @@ def mobius_full_rank_count(rows: list[list[int]]) -> int:
         dim = len(basis)
         total += (-1) ** dim * 2 ** comb(dim, 2) * comb(n - len(support), k)
     return total
+
+
+def bareiss_determinant(a: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss's fraction-free elimination.
+
+    After step t every entry below and right of the pivot is a (t + 2)-minor,
+    so each division by the previous pivot is exact.
+    """
+    a = [row[:] for row in a]
+    sign, prev = 1, 1
+    for t in range(len(a) - 1):
+        if a[t][t] == 0:
+            swap = next((i for i in range(t + 1, len(a)) if a[i][t]), None)
+            if swap is None:
+                return 0
+            a[t], a[swap] = a[swap], a[t]
+            sign = -sign
+        for i in range(t + 1, len(a)):
+            for j in range(t + 1, len(a)):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+        prev = a[t][t]
+    return sign * a[-1][-1] if a else 1
+
+
+def kirchhoff_count(rows: list[list[int]]) -> int:
+    """Spanning trees of the graph whose grounded incidence matrix is rows.
+
+    Each column has one or two ones: an edge to the grounded vertex, or
+    between two others.  The reduced Laplacian holds each vertex's degree,
+    its row's weight, on the diagonal and minus the number of edges
+    between two vertices, the columns their rows share, elsewhere; its
+    determinant over the integers counts the trees (Kirchhoff 1847).
+    """
+    shared = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
+    return bareiss_determinant([[c if i == j else -c for j, c in enumerate(row)]
+                                for i, row in enumerate(shared)])

@@ -563,11 +563,12 @@ def test_command_output_bytes_are_pinned():
 
 
 def test_corpus_output_bytes_are_pinned(tmp_path):
-    # sets, count --list-sets and verify on seeded random matrices, run where
-    # the corpus is written so that no absolute path enters the output
+    # sets, count --list-sets and verify on seeded random matrices, and every
+    # command on rank-deficient ones, run where the corpus is written so that
+    # no absolute path enters the output
     write_corpus(tmp_path)
     entries = [entry for entry in json.loads(HASHES.read_text()) if in_corpus(entry["argv"])]
-    assert len(entries) == 112
+    assert len(entries) == 136
     changed = [" ".join(entry["argv"]) for entry in entries
                if outcome(entry["argv"], tmp_path) != entry]
     assert not changed, "output changed for:\n" + "\n".join(changed)

@@ -13,6 +13,13 @@ and 6 and Golay then run the DP on the dual.  Through ``weights`` and
 has 2^(m + 1) - 2 of weight 2^(m - 1) and one of weight 2^m, and the
 Hamming code's enumerator is [(1 + y)^n + n (1 - y)(1 - y^2)^((n - 1) / 2)]
 / (n + 1) (MacWilliams & Sloane 1977).
+
+A graph's grounded incidence matrix has the spanning trees for its
+bases, which an integer determinant counts (``naive.kirchhoff_count``),
+sharing nothing with GF(2) elimination.  The determinant is checked
+against Cayley's m^(m - 2) for K_m and a^(b - 1) b^(a - 1) for K_{a,b},
+and the package against it on complete, complete bipartite, wheel, grid
+and random graphs, on both of ``analyze``'s sides.
 """
 
 import json
@@ -20,10 +27,13 @@ from math import factorial
 
 import pytest
 
-from families import extended_golay, gl_order, hamming, reed_muller_1, simplex
-from gf2count import (BitMatrix, analyze, brute_force_counts, complement_duality_check,
-                      row_op_invariance_check)
+from families import (complete_bipartite, complete_graph, extended_golay, gl_order, grid,
+                      grounded_incidence, hamming, random_connected, reed_muller_1, simplex,
+                      wheel)
+from gf2count import (BitMatrix, analyze, basis_count, brute_force_counts,
+                      complement_duality_check, row_op_invariance_check)
 from gf2count.cli import main
+from naive import kirchhoff_count
 
 SIMPLEX_I = dict(zip(range(3, 7), (28, 840, 83_328, 27_998_208)))
 RM1_I = dict(zip(range(3, 7), (56, 2_688, 444_416, 255_983_616)))
@@ -141,3 +151,49 @@ def test_family_enumerators_through_weights(capsys, tmp_path, m, code, rows, dua
     assert main(["weights", str(path), "--format", "json", *["--dual"] * dual]) == 0
     coeffs = json.loads(capsys.readouterr().out)["coeffs"]
     assert {w: c for w, c in enumerate(coeffs) if c} == ENUMERATORS[code](m)
+
+
+BIPARTITE = [(a, b) for a in range(1, 5) for b in range(a, 5)]
+GRAPHS = (
+    [pytest.param(complete_graph(m), id=f"K{m}") for m in range(3, 9)]
+    + [pytest.param(complete_bipartite(a, b), id=f"K{a},{b}") for a, b in BIPARTITE]
+    + [pytest.param(wheel(m), id=f"W{m}") for m in range(4, 9)]
+    + [pytest.param(grid(a, b), id=f"grid-{a}x{b}") for a, b in ((2, 3), (2, 4), (3, 3), (3, 4))]
+    + [pytest.param(random_connected(8, 6, seed=1), id="random-8"),
+       pytest.param(random_connected(10, 8, seed=2), id="random-10")]
+)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_kirchhoff_matches_cayley(m):
+    assert kirchhoff_count(grounded_incidence(*complete_graph(m))) == m ** (m - 2)
+
+
+@pytest.mark.parametrize("a, b", BIPARTITE)
+def test_kirchhoff_matches_complete_bipartite(a, b):
+    assert kirchhoff_count(grounded_incidence(*complete_bipartite(a, b))) == (
+        a ** (b - 1) * b ** (a - 1))
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_graph_counts_match_kirchhoff(graph):
+    rows = grounded_incidence(*graph)
+    m = BitMatrix.from_lists(rows)
+    assert basis_count(m) == analyze(m).full_rank_count == kirchhoff_count(rows)
+
+
+@pytest.mark.parametrize("graph, side", [
+    pytest.param(complete_graph(4), "dual", id="K4"),
+    pytest.param(complete_bipartite(3, 3), "dual", id="K3,3"),
+    pytest.param(wheel(6), "dual", id="W6"),
+    pytest.param(grid(3, 4), "dual", id="grid-3x4"),
+    pytest.param(complete_graph(6), "primal", id="K6"),
+    pytest.param(complete_graph(8), "primal", id="K8"),
+])
+def test_graph_through_count_json(capsys, tmp_path, graph, side):
+    rows = grounded_incidence(*graph)
+    path = tmp_path / "m.txt"
+    path.write_text(str(BitMatrix.from_lists(rows)) + "\n")
+    assert main(["count", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["side"], data["I"]) == (side, kirchhoff_count(rows))

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import xor
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -12,6 +15,7 @@ from gf2count import (
     rank,
     systematic_form,
 )
+from gf2count.gf2 import _rref, reduced_basis
 from naive import naive_rank, naive_systematic_form, row_lists
 
 
@@ -95,6 +99,37 @@ def test_get_and_column_ints():
 @given(matrices())
 def test_rank_matches_naive(m):
     assert rank(m) == naive_rank(row_lists(m))
+    assert rank(m) == len(reduced_basis(m))
+
+
+@st.composite
+def word_lists(draw):
+    """A width of 1 to 40 bits and words of it: random ones, zeros, repeats and sums."""
+    width = draw(st.integers(1, 40))
+    words = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        picked = draw(st.lists(st.sampled_from(words), max_size=3)) if words else []
+        words.append(reduce(xor, picked, 0))  # zero, a repeat or a dependent word
+    return width, draw(st.permutations(words))
+
+
+@given(word_lists())
+def test_rref_is_the_one_reduced_echelon_form(case):
+    width, words = case
+    basis = _rref(words)
+    leads = [1 << b.bit_length() - 1 for b in basis if b]
+    assert len(leads) == len(basis)
+    assert list(basis) == sorted(basis, reverse=True) and len(set(basis)) == len(basis)
+    # each leading bit is held by its own word alone
+    assert all(sum(b & lead != 0 for b in basis) == 1 for lead in leads)
+    for w in words:  # every word reduces to zero by the leading bits
+        for b, lead in zip(basis, leads):
+            if w & lead:
+                w ^= b
+        assert w == 0
+    assert len(basis) == naive_rank([[w >> j & 1 for j in range(width)] for w in words])
+    assert _rref(words[::-1]) == _rref(sorted(words)) == basis
+    assert _rref(basis) == basis
 
 
 @given(matrices())
