@@ -27,8 +27,8 @@ once, in a table that ends with the call that made it (for a
 lane rows).  The DP restricts the subcode to the later columns,
 counts the prefixes that share it together, steps its four-word states
 by an unrolled reduction and finishes a subcode of at most three words
-in closed form from power sums, so a four-word start walks as one chain
-of states.  Its one entry, ``_walk``, starts from ``gf2.reduced_basis``
+in closed form, split on the third word, so a four-word start walks as
+one chain of states.  Its one entry, ``_walk``, starts from ``gf2.reduced_basis``
 and alone chooses the DP's column order.
 
 The DP and the scan are limited by one work budget, counted in visits
@@ -42,9 +42,11 @@ the side with fewer rows.  ``systematic_counts`` scores ``search``'s
 candidates [I | P].  Where k (n - k) <= 16 it scores them all at once,
 one to a 16-bit lane of an int: the count is the number of
 nonsingular square submatrices of P (Cauchy-Binet), each minor one
-Laplace step (AND, then XOR) from those one smaller.  Otherwise it
-scores a block in closed form from its bits for k <= 3, else by one walk
-per multiset of P's columns, a single chain of states at k = 4.
+Laplace step (AND, then XOR) from those one smaller, by a schedule
+compiled once a shape.  Otherwise it scores a block in closed form from
+its bits for k <= 3, else by one walk per multiset of P's columns, keyed
+by P's columns as sorted byte fields moved there by 256-entry tables, a
+single chain of states at k = 4.
 A subset is "dependent" when the selected columns form a singular k x k
 matrix and "independent" when that matrix is invertible; D and I denote
 how many subsets fall in each class.
@@ -57,6 +59,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache
 from itertools import accumulate, combinations, compress, islice
 from math import comb
+from operator import getitem
 
 from .codes import WeightEnumerator, dual_of, min_weight, weight_enumerator
 from .errors import BudgetError, ConditionError, ConsistencyError, DimensionError, RankError
@@ -395,10 +398,18 @@ def _completions(key: tuple[int, ...]) -> int:
 
     A set completes it when its columns' bits under the words form a
     basis.  With m_v the number of columns whose bits read the nonzero
-    pattern v (bit i from word i), that is e_len(m) over distinct patterns,
-    less for three words the m_u * m_v * m_(u ^ v) of the Fano plane's 7 lines.
-    The m_v are read off 7 popcounts, of the words and their ANDs, and e1 to
-    e3 off the power sums p_i by Newton: 2 e2 = p1^2 - p2, 6 e3 = p1^3 - 3 p1 p2 + 2 p3.
+    pattern v (bit i from word i), read off 7 popcounts, of the words and
+    their ANDs, split the patterns on the third word c: N0 = m1 + m2 + m3
+    columns have c = 0 and |c| = m4 + m5 + m6 + m7 have c = 1.  Three
+    columns of distinct patterns are a basis unless their patterns lie on
+    a line {u, v, u ^ v}, and a line holds no pattern or two with c = 1.
+    So a basis takes one c column and two of distinct patterns among 1, 2
+    and 3, any of which span the c = 0 plane: |c| e2(m1, m2, m3); or two c
+    columns of patterns p != q and a c = 0 column off their line, pattern
+    not s = p ^ q: m_p m_q (N0 - m_s), summed over the three pairs for each
+    s; or three c columns of distinct patterns, never a line: e3(m4..m7).
+    With fewer words c = 0, so every m_v with c = 1 is 0, and one word
+    counts its N0 columns, two words their e2(m1, m2, m3) pairs.
     """
     words = len(key)
     a, b, c = key if words == 3 else key + (0,) * (3 - words)
@@ -406,17 +417,12 @@ def _completions(key: tuple[int, ...]) -> int:
     m7 = (ab & c).bit_count()
     m3, m5, m6 = ab.bit_count() - m7, (a & c).bit_count() - m7, (b & c).bit_count() - m7
     m1, m2 = a.bit_count() - m3 - m5 - m7, b.bit_count() - m3 - m6 - m7
-    m4 = c.bit_count() - m5 - m6 - m7
-    q1, q2, q3, q4, q5, q6, q7 = m1 * m1, m2 * m2, m3 * m3, m4 * m4, m5 * m5, m6 * m6, m7 * m7
-    p1 = m1 + m2 + m3 + m4 + m5 + m6 + m7
-    p2 = q1 + q2 + q3 + q4 + q5 + q6 + q7
-    if words < 3:
-        return (1, p1, (p1 * p1 - p2) >> 1)[words]
-    p3 = q1 * m1 + q2 * m2 + q3 * m3 + q4 * m4 + q5 * m5 + q6 * m6 + q7 * m7
-    # the lines 123, 145, 167, 246, 257, 347 and 356
-    return (p1 * (p1 * p1 - 3 * p2) + 2 * p3) // 6 - (
-        m1 * (m2 * m3 + m4 * m5 + m6 * m7) + m2 * (m4 * m6 + m5 * m7)
-        + m3 * (m4 * m7 + m5 * m6))
+    cs = c.bit_count()
+    m4 = cs - m5 - m6 - m7
+    n0 = m1 + m2 + m3
+    e2 = m1 * m2 + (m1 + m2) * m3
+    return (1, n0, e2, cs * e2 + (m4 * m5 + m6 * m7) * (n0 - m1) + (m4 * m6 + m5 * m7) * (n0 - m2)
+            + (m4 * m7 + m5 * m6) * (n0 - m3) + m4 * m5 * (m6 + m7) + m6 * m7 * (m4 + m5))[words]
 
 
 def _connectivity_order(rows: Sequence[int], n: int,
@@ -665,6 +671,33 @@ def systematic_rows(p_bits: int, k: int, w: int) -> tuple[int, ...]:
 _MINOR_LANES = 2048
 
 
+@cache
+def _minor_schedule(k: int, w: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """``_minor_scores``' Laplace steps for k x w blocks, as slots of one list v.
+
+    v[i * w + j] is P's entry (i, j), the 1 x 1 minor, and each larger
+    minor has a slot after those of the minors one smaller.  The steps are
+    (t, e, s): the minor at t gains the term v[e] & v[s], e an entry of its
+    first row i and s the minor on its other rows without that entry's
+    column.  Returns the slots v needs and the steps in order.
+    """
+    slots = {1 << w + b // w | 1 << b % w: b for b in range(k * w)}  # R << w | J to its slot
+    steps = []
+    minors = list(slots)
+    for _ in range(min(k, w) - 1):
+        smaller = len(slots)
+        for key in minors:
+            rows = key >> w
+            for i in range((rows & -rows).bit_length() - 1):  # a first row above R
+                head = key | 1 << w + i
+                for j in range(w):
+                    if not key >> j & 1:
+                        at = slots.setdefault(head | 1 << j, len(slots))
+                        steps.append((at, i * w + j, slots[key]))
+        minors = list(slots)[smaller:]  # the minors one larger
+    return len(slots), steps
+
+
 def _minor_scores(blocks: Iterable[int], k: int, w: int) -> Iterator[int]:
     """``basis_count`` of [I | P] for each block P of k * w <= 16 bits, all at once.
 
@@ -675,37 +708,42 @@ def _minor_scores(blocks: Iterable[int], k: int, w: int) -> Iterator[int]:
     one to a 16-bit lane of an int, P's entry (i, j) is the plane of bit
     i * w + j of every lane, and each s x s minor is one Laplace step
     along its first row from the (s - 1) x (s - 1) minors below it: an AND
-    a term, XORed.  The minors are 0 or 1 a lane and a lane's sum at most
+    a term, XORed, by the steps ``_minor_schedule`` compiles once for the
+    shape.  The minors are 0 or 1 a lane and a lane's sum at most
     C(k + w, k) <= 70, so the plain sum of them all carries into no other
     lane.  A pass takes ``_MINOR_LANES`` blocks.
     """
     from array import array  # loaded only by a search that scores this way
     from sys import byteorder
 
+    size, steps = _minor_schedule(k, w)
     blocks = iter(blocks)
     while batch := array("H", islice(blocks, _MINOR_LANES)):
         lanes = len(batch)
         x = int.from_bytes(batch.tobytes(), byteorder)
         unit = ((1 << 16 * lanes) - 1) // 0xFFFF  # bit 0 of every lane
-        entries = [x >> b & unit for b in range(k * w)]
-        total = sum(entries, unit)
-        # each minor of one size by its rows R and columns J, as R << w | J
-        minors = {1 << w + b // w | 1 << b % w: e for b, e in enumerate(entries)}
-        for _ in range(min(k, w) - 1):
-            upper: dict[int, int] = {}
-            for key, d in minors.items():
-                rows = key >> w
-                # the terms of the minors one larger whose first row i is above R
-                for i in range((rows & -rows).bit_length() - 1):
-                    head = key | 1 << w + i
-                    for j in range(w):
-                        if not key >> j & 1:
-                            term = entries[i * w + j] & d
-                            at = head | 1 << j
-                            upper[at] = upper[at] ^ term if at in upper else term
-            total = sum(upper.values(), total)
-            minors = upper
-        yield from array("H", total.to_bytes(2 * lanes, byteorder))
+        v = [x >> b & unit for b in range(k * w)] + [0] * (size - k * w)
+        for t, e, s in steps:
+            v[t] ^= v[e] & v[s]
+        yield from array("H", sum(v, unit).to_bytes(2 * lanes, byteorder))
+
+
+def _bit_tables(places: Sequence[int | None]) -> list[list[int]]:
+    """Tables that move bit b of an int to bit ``places[b]``, dropped where that is None.
+
+    Table t maps each value of the int's byte t, read little-endian, to
+    its bits moved, so for distinct places the moved int is
+    ``sum(map(getitem, tables, x.to_bytes(len(tables), "little")))``.
+    Bits past ``len(places)`` are dropped too.
+    """
+    tables = []
+    for t in range(0, len(places), 8):
+        table = [0]
+        for place in places[t:t + 8]:  # table[2^i + p] = table[p] | bit i moved, p < 2^i
+            bit = 0 if place is None else 1 << place
+            table += [v | bit for v in table]
+        tables.append(table * (256 // len(table)))
+    return tables
 
 
 def systematic_counts(
@@ -719,13 +757,16 @@ def systematic_counts(
     3-tuple of shifted masks, counted at once by ``_completions`` with no
     column order; an added unit row is a coloop, so no count changes.
     From k = 4 the count depends only on the multiset of P's columns, so
-    each multiset is walked once: its key is P's columns as 0/1 text,
-    row 0 first, sorted and joined.  In the DP's layout, column j at bit
-    n - 1 - j, row i of [I | P] in that column order is the identity's
-    bit n - 1 - i over the key's characters i, i + k, ... read in binary,
-    which it alone holds, so the rows are fully reduced and are ``_walk``'s
-    start as they stand.  Raises BudgetError as ``_walk`` does, not at
-    k <= 3 or k * w <= 16.
+    each multiset is walked once.  Its key holds each column as a field
+    of ceil(k / 8) bytes, row i at bit k - 1 - i, big-endian, so the
+    fields sort as the columns' 0/1 text, row 0 first, and the key is the
+    sorted fields joined.  One ``_bit_tables`` set moves P's bits to the
+    fields, and on a new key another moves the key's bits to the rows of
+    [I | P] over the sorted columns, in the DP's layout, column j at bit
+    n - 1 - j: row i is the identity's bit n - 1 - i over bit i of each
+    field, the first field highest, which it alone holds, so the rows are
+    fully reduced and are ``_walk``'s start as they stand.  Raises
+    BudgetError as ``_walk`` does, not at k <= 3 or k * w <= 16.
     """
     if k * w <= 16:
         yield from _minor_scores(blocks, k, w)
@@ -736,16 +777,31 @@ def systematic_counts(
             yield _completions((1 | (p & pmask) << 3, 2 | (p >> w & pmask) << 3,
                                 4 | p >> 2 * w << 3))
         return
-    n, width = k + w, k * w
-    scores: dict[str, int] = {}
+    n, size = k + w, -(-k // 8)
+    span = w * size  # bytes in a key
+    # P's entry (i, j) to bit k - 1 - i of column j's field, the fields big-endian
+    to_fields = _bit_tables([(w - 1 - j) * 8 * size + k - 1 - i
+                             for i in range(k) for j in range(w)])
+    # bit s of key byte t is row i's bit of the sorted column f = t // size, which
+    # goes to bit w - 1 - f of row i, the rows packed n bits apart
+    to_rows = _bit_tables([None if i < 0 else i * n + w - 1 - t // size
+                           for t in range(span) for s in range(8)
+                           for i in [k - 1 - s - 8 * (size - 1 - t % size)]])
+    units = sum(1 << i * n + n - 1 - i for i in range(k))
+    shifts, mask, cuts = range(0, k * n, n), (1 << n) - 1, range(0, span, size)
+    block_bytes = len(to_fields)
+    scores: dict[bytes, int] = {}
     closed: dict[tuple[int, ...], int] = {}
     for p_bits in blocks:
-        text = format(p_bits, f"0{width}b")[::-1]  # P row-major: (i, j) at i * w + j
-        key = "".join(sorted([text[j::w] for j in range(w)]))
+        fields = sum(map(getitem, to_fields, p_bits.to_bytes(block_bytes, "little"))
+                     ).to_bytes(span, "big")
+        key = (bytes(sorted(fields)) if size == 1
+               else b"".join(sorted([fields[t:t + size] for t in cuts])))
         value = scores.get(key)
         if value is None:
-            start = tuple(1 << (n - 1 - i) | int(key[i::k], 2) for i in range(k))
-            value = scores[key] = _walk(start, n, budget, closed)
+            rows = sum(map(getitem, to_rows, key), units)
+            value = scores[key] = _walk(tuple([rows >> t & mask for t in shifts]), n, budget,
+                                        closed)
         yield value
 
 

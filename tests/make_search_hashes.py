@@ -101,6 +101,15 @@ def _search_argvs() -> list[list[str]]:
     for budget in ("535", "536"):
         calls.append(["search", "--k", "4", "--n", "8", "--samples", "30",
                       "--budget", budget])
+    # multiset keys past one byte a field (k = 9 and 12) and past 8 columns (w = 36)
+    for k, n, samples in ((4, 40, "500"), (9, 15, "200"), (9, 20, "100"), (12, 18, "200")):
+        calls.append(["search", "--k", str(k), "--n", str(n), "--samples", samples,
+                      "--format", "json"])
+    # the cheapest exhaustive shape the DP scores, 2^18 candidates, each side of
+    # the least budget that lets it run
+    for budget in ("262143", "262144"):
+        calls.append(["search", "--k", "6", "--n", "9", "--exhaustive", "--budget", budget,
+                      "--format", "json"])
     return calls
 
 

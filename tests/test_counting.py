@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from itertools import combinations
 from math import comb
+from operator import getitem
 from typing import Optional
 from unittest import mock
 
@@ -461,7 +462,7 @@ def test_basis_count_matches_naive(rows):
     assert analyze(m).full_rank_count == independent
 
 
-@given(st.integers(1, 3), st.lists(st.integers(0, 7), min_size=3, max_size=14))
+@given(st.integers(1, 3), st.lists(st.integers(0, 7), min_size=3, max_size=20))
 @example(3, list(range(1, 8)))  # all 7 nonzero column types: the Fano plane's 28 bases
 @example(3, [1, 2, 3])  # a dependent line {a, b, a ^ b}
 @example(3, [0, 3, 5, 6, 0])  # a line of weight-two types, with zero columns
@@ -469,11 +470,22 @@ def test_basis_count_matches_naive(rows):
 @example(3, [v for v in range(1, 8) for _ in range(v)])  # m_v = v: the 7 lines differ
 @example(2, [1, 1, 2, 3, 0, 3])  # e2 of the counts of patterns 1, 2 and 3, a zero column
 @example(1, [1, 0, 3, 0])  # e1: the word's weight
+@example(3, [1, 2, 3, 3, 0])  # c zero on every column: rank deficient, 0
+@example(3, [4, 5, 6, 7, 4, 5, 7])  # only c = 1 patterns: e3(m4..m7) alone
+@example(3, [4, 6, 5, 7, 5])  # c patterns alone: N0 = 0 zeroes every pair term
+# a pair of c patterns p, q and c = 0 columns with and without s = p ^ q
+@example(3, [4, 5, 1, 2, 3])  # s = 1, with
+@example(3, [6, 7, 2, 3, 0])  # s = 1, without
+@example(3, [4, 6, 2, 1])  # s = 2, with
+@example(3, [5, 7, 1, 3, 3])  # s = 2, without
+@example(3, [4, 7, 3, 3, 1])  # s = 3, with
+@example(3, [5, 6, 1, 2])  # s = 3, without
 @settings(max_examples=150, deadline=None)
 def test_three_word_closed_form_matches_naive(height, columns):
-    # up to three words close at once: e1, e2 or e3 of the 7 pattern counts,
-    # from their power sums, for three less the 7 lines {u, v, u ^ v};
-    # rank-deficient rows give 0
+    # up to three words close at once, split on the third word c: one c
+    # column and two of distinct c = 0 patterns, two c columns and a c = 0
+    # column off their line, or three c columns of distinct patterns; fewer
+    # words read the same counts with c = 0; rank-deficient rows give 0
     rows = [[c >> i & 1 for c in columns] for i in range(height)]
     independent = len(naive_subset_split(rows)[1])
     words = tuple(sum(bit << j for j, bit in enumerate(row)) for row in rows)
@@ -815,6 +827,60 @@ def test_systematic_count_matches_basis_count_and_mobius(block):
     assert mobius_full_rank_count([unit[i] + p[i] for i in range(k)]) == expected
 
 
+def _text_key_start(p_bits: int, k: int, w: int) -> tuple[int, ...]:
+    """The DP start of block P the way text keys made it: P's columns as 0/1
+    text, row 0 first, sorted, then parsed back into rows over the sorted
+    columns, the identity's bit n - 1 - i on row i."""
+    n = k + w
+    text = format(p_bits, f"0{k * w}b")[::-1]
+    key = "".join(sorted([text[j::w] for j in range(w)]))
+    return tuple(1 << (n - 1 - i) | int(key[i::k], 2) for i in range(k))
+
+
+@pytest.mark.parametrize("k, w", [(4, 5), (4, 8), (4, 9), (4, 40), (5, 7), (6, 3), (7, 9),
+                                  (8, 3), (9, 6), (9, 11), (12, 6), (16, 2), (17, 1),
+                                  (17, 4)])
+def test_systematic_count_walks_the_start_that_text_keys_built(k, w, monkeypatch):
+    # byte-field keys must give _walk exactly the start the sorted text did,
+    # one or two bytes a field, w past 8 columns
+    rng = random.Random(35 * k + w)
+    column = rng.getrandbits(k)
+    repeated = _p_bits([column] * w, k)
+    blocks = [0, (1 << k * w) - 1, repeated, _p_bits([column, 0] * (w // 2) + [0] * (w % 2), k),
+              *[rng.getrandbits(k * w) for _ in range(4)]]
+    starts = []
+    walk = counting._walk
+
+    def spy(start, n, budget, closed):
+        starts.append(start)
+        return walk(start, n, budget, closed)
+
+    monkeypatch.setattr(counting, "_walk", spy)
+    for p_bits in blocks:
+        del starts[:]
+        score = next(counting.systematic_counts([p_bits], k, w))
+        assert starts == [_text_key_start(p_bits, k, w)]
+        assert score == basis_count(BitMatrix(k, k + w, systematic_rows(p_bits, k, w)))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 13, 20, 36])
+def test_bit_tables_move_each_bit_as_a_plain_loop_does(width):
+    rng = random.Random(width)
+    places = rng.sample(range(2 * width + 5), width)
+    for b in rng.sample(range(width), width // 3):
+        places[b] = None  # dropped
+    tables = counting._bit_tables(places)
+    assert len(tables) == -(-width // 8) and all(len(t) == 256 for t in tables)
+    for x in [0, (1 << width) - 1, *[rng.getrandbits(width) for _ in range(50)]]:
+        moved = sum(1 << places[b] for b in range(width)
+                    if x >> b & 1 and places[b] is not None)
+        assert sum(map(getitem, tables, x.to_bytes(len(tables), "little"))) == moved
+    # bits past the places, in the last byte, are dropped too
+    if width % 8:
+        top = (1 << 8 * len(tables)) - (1 << width)
+        assert sum(map(getitem, tables, top.to_bytes(len(tables), "little"))) == 0
+
+
 @given(p_blocks(max_k=3))
 @example((1, 2, 0))  # k = 1, all-zero P: only the identity column counts
 @example((1, 6, 0b10110))  # k = 1: the nonzero columns
@@ -858,6 +924,8 @@ def _dp_score(p_bits: int, k: int, w: int) -> int:
 @example((3, 8, [_p_bits([6, 6, 6, 0, 0], 3), _p_bits([3, 5, 6, 7, 3], 3)]))
 @example((2, 10, [_p_bits([0, 3, 3, 1, 0, 2, 2, 3], 2)]))
 @example((8, 10, [0, 0xFFFF]))
+@example((2, 10, [0xFFFF, 0, 0x00FF, 0xFF00, 0x0180]))  # 2 x 8 blocks: the widest w
+@example((4, 8, [0x8421, 0x1248, 0xFFFF, 0x8421 ^ 0x1248]))  # 4 x 4: diagonals, all ones
 @settings(max_examples=120, deadline=None)
 def test_minor_scores_match_naive_split_and_the_dp(block):
     k, n, blocks = block
@@ -879,6 +947,20 @@ def test_minor_scores_keep_their_order_across_passes(monkeypatch):
     monkeypatch.setattr(counting, "_MINOR_LANES", 5)  # 136 passes, the last one short
     assert list(counting._minor_scores(blocks, 4, 4)) == whole
     assert whole == [_dp_score(p_bits, 4, 4) for p_bits in blocks]
+
+
+def test_minor_schedule_is_compiled_once_a_shape(monkeypatch):
+    counting._minor_schedule.cache_clear()
+    monkeypatch.setattr(counting, "_MINOR_LANES", 7)  # many passes a call
+    blocks = list(range(0, 1 << 12, 37))
+    for _ in range(2):  # across calls
+        list(counting._minor_scores(blocks, 4, 4))
+        list(counting._minor_scores(blocks, 3, 4))
+    assert counting._minor_schedule.cache_info().misses == 2
+    # 4 x 4: 16 entries, 36 minors of 2 x 2 from two terms each, 16 of 3 x 3
+    # from three and the 4 x 4 one from four
+    size, steps = counting._minor_schedule(4, 4)
+    assert (size, len(steps)) == (16 + 36 + 16 + 1, 36 * 2 + 16 * 3 + 4)
 
 
 def _lex_bitmap(family: set, n: int, size: int) -> int:
