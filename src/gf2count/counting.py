@@ -152,11 +152,16 @@ _DEPENDENT_FLAGS = bytes.maketrans(b"01", b"\1\0")
 # s = scans C(n - m - 1, k - rem - 1) states that can reach the shape;
 # branching rem C(m, rem - 1) a state; closing the m - rem + 1 kids, at
 # widest chunks w = ceil(m / 8), at least (W >> 1) ((m - rem + 1) (2 + 2 w) +
-# b (2 + w)).  Measured (2-vCPU Xeon, Python 3.11): a closed top takes
-# 0.37-0.78 us a word at 1,001-3,060 lanes, 1.2 at 11,440 and 4.1-4.4 at
-# 125,970; branching 0.054-0.107 rem us per (rem - 1)-prefix (costed at
-# 0.05), less where kids close: 12 x 24's (19, 10) at 92,378 lanes closed in 3.6 ms a state,
-# its kids in 2.6, so the kids' term, not a lane cap, refuses it.  Shared by a
+# b (2 + w)).  Measured (2-vCPU Xeon, Python 3.11), per word of W: a closed
+# top of two or three tables, one OR expression a word, takes 0.17-0.21 us at
+# 3,003 lanes and 0.27-0.31 at 11,440 (0.22-0.31 and 0.35-0.46 through the
+# loop over tables, which five to seven tables still take: 0.65-0.85 at
+# 1,001-3,060 lanes, 5.5 at 125,970).  The coefficients were fitted to that
+# loop and are kept, so every decision stands; they still charge all W words,
+# where only the light ones are looked up.  Branching costs 0.054-0.107 rem
+# us per (rem - 1)-prefix (costed at 0.05), less where kids close: 12 x 24's
+# (19, 10) at 92,378 lanes closed in 3.6 ms a state, its kids in 2.6, so
+# the kids' term, not a lane cap, refuses it.  Shared by a
 # verify's 22 scans, 6 x 14 and 7 x 16 tops close at c = 7 and 8; verify
 # time against c = 4 per call was 0.64 and 0.65 at (8, 2^23), 0.63 and 0.76
 # at cap 2^22, 0.70 and 0.74 at c <= 6, 0.62 and 0.65 at (10, 2^24).  One
@@ -212,7 +217,10 @@ def _scanner(k: int, n: int, scans: int = 1,
     m - rem alone.  The masks come in chunks of c columns, each with a
     table of the ORs of every subset of its masks (Four Russians), so a
     word, one XOR of a basis word and an earlier word shifted down by
-    start, is ORed in one lookup per chunk.  The rule above
+    start, is ORed in one lookup per chunk.  With two or three tables,
+    as the 6 x 14 and 7 x 16 sides of a ``verify`` and their duals close,
+    a word's lookups are one OR expression with no loop over the tables;
+    one table, or four or more, take the loop.  The rule above
     ``_CLOSE_MAX_TABLE_BITS`` (``_closes``) decides a shape (m, rem) of
     three or more words, and its width c, where a walk first reaches it,
     and a closing shape's tables are built then, one OR an entry, from H,
@@ -295,14 +303,25 @@ def _scanner(k: int, n: int, scans: int = 1,
                 words += [w, *[v ^ w for v in words]]
             light = n - start - rem  # a heavier word meets every completion
             block = (1 << size) - 1
-            for w in words:
-                if w.bit_count() > light:
-                    continue
-                run = 0
-                for ors in held:
-                    run |= ors[w & low_bits]
-                    w >>= chunk
-                block &= run
+            if len(held) == 2:  # two or three tables: one OR expression a word
+                t0, t1 = held
+                for w in words:
+                    if w.bit_count() <= light:
+                        block &= t0[w & low_bits] | t1[w >> chunk]
+            elif len(held) == 3:
+                t0, t1, t2 = held
+                for w in words:
+                    if w.bit_count() <= light:
+                        block &= t0[w & low_bits] | t1[w >> chunk & low_bits] | t2[w >> 2 * chunk]
+            else:
+                for w in words:
+                    if w.bit_count() > light:
+                        continue
+                    run = 0
+                    for ors in held:
+                        run |= ors[w & low_bits]
+                        w >>= chunk
+                    block &= run
             return block
         viable = 0
         for w in basis:

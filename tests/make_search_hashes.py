@@ -25,7 +25,11 @@ refused with exit 4, on matrices written
 to a scratch directory, named there by relative paths, so no absolute
 path enters the output, and ``verify`` calls with a supplied dual
 (``corpus_duals``) on the corpus matrices whose systematic form moves
-columns.  ``test_cli.test_search_output_bytes_are_pinned``,
+columns.  Five textbook codes and graphs from ``families`` (``structured``:
+the simplex, Hamming and first-order Reed-Muller codes of 15 and 16
+columns, K_6 and W_6), written beside the corpus, add ``sets``, ``count
+--mode oracle`` and ``verify`` calls.
+``test_cli.test_search_output_bytes_are_pinned``,
 ``test_cli.test_command_output_bytes_are_pinned`` and
 ``test_cli.test_corpus_output_bytes_are_pinned`` replay them.
 Regenerate the file only when a change alters output on purpose, and
@@ -49,6 +53,7 @@ from math import comb
 from operator import xor
 from pathlib import Path
 
+from families import complete_graph, grounded_incidence, hamming, reed_muller_1, simplex, wheel
 from gf2count import BitMatrix, rank
 from gf2count.cli import main
 from naive import naive_dual_basis, naive_systematic_form
@@ -225,6 +230,22 @@ def random_columns(rng: random.Random, k: int, n: int, zeros: int, repeats: int)
             return cols
 
 
+STRUCTURED = "codes"  # the textbook codes' directory, beside the corpus
+# (name, rows): codes and graphs from ``families``, built without the corpus RNG; the
+# scans of their smaller sides close with 2 (W_6), 3 (K_6), 4 (simplex, RM) and 5
+# tables (Hamming, whose dual is the side scanned)
+STRUCTURED_ROWS = (
+    ("simplex_4", simplex(4)), ("hamming_4", hamming(4)), ("reed_muller_1_4", reed_muller_1(4)),
+    ("k_6", grounded_incidence(*complete_graph(6))), ("w_6", grounded_incidence(*wheel(6))),
+)
+
+
+def structured() -> dict[str, str]:
+    """The STRUCTURED_ROWS matrices, relative file name to text."""
+    return {f"{STRUCTURED}/{name}.txt": "".join("".join(map(str, row)) + "\n" for row in rows)
+            for name, rows in STRUCTURED_ROWS}
+
+
 def corpus_duals(files: dict[str, str]) -> dict[str, tuple[str, str]]:
     """A dual generator for each CORPUS_SHAPES matrix of at most 15 columns
     whose systematic form moves columns, in the matrix's own column order, by
@@ -263,21 +284,25 @@ def _corpus_argvs() -> list[list[str]]:
         calls += [["count", path], ["count", path, "--format", "json"],
                   ["count", path, "--mode", "oracle"], ["sets", path],
                   ["weights", path, "--dual"], ["verify", path, "--trials", "3"]]
+    for path in structured():
+        calls += [["sets", path, "--format", "json"],
+                  ["count", path, "--mode", "oracle", "--format", "json"],
+                  ["verify", path, "--trials", "3"]]
     return calls
 
 
 def write_corpus(root: Path) -> None:
-    """Write ``corpus()`` and its ``corpus_duals`` under root, where the corpus calls run."""
+    """Write ``corpus()``, its ``corpus_duals`` and ``structured()`` under root,
+    where the corpus calls run."""
     (root / CORPUS).mkdir()
+    (root / STRUCTURED).mkdir()
     files = corpus()
-    for name, text in files.items():
-        (root / name).write_text(text)
-    for name, text in corpus_duals(files).values():
+    for name, text in [*files.items(), *corpus_duals(files).values(), *structured().items()]:
         (root / name).write_text(text)
 
 
 def in_corpus(argv: list[str]) -> bool:
-    return len(argv) > 1 and argv[1].startswith(CORPUS + "/")
+    return len(argv) > 1 and argv[1].startswith((CORPUS + "/", STRUCTURED + "/"))
 
 
 def outcome(argv: list[str], cwd: Path = ROOT) -> dict:

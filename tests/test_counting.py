@@ -1223,6 +1223,16 @@ def _table_bits(m: int, rem: int, width: int) -> int:
 # chunks of one column and of eight, the widest, over a 9-column top
 @example((_rows_of([2, 4, 8, 6, 1, 3, 1, 9, 6], 4), _CAP, 1))
 @example((_rows_of([2, 4, 8, 6, 1, 3, 1, 9, 6], 4), _CAP, 8))
+# closed tops at the edges of two and three tables, each with row 0 inside the last
+# table alone: m = 13 at width 7, a part last table (columns 7..12); m = 9 at width 8,
+# a last table of one column (8), row 0 the word of that coloop; m = 14 at width 5,
+# a part third table (columns 10..13)
+@example((_rows_of([2, 4, 8, 6, 10, 12, 14, 1, 3, 5, 9, 7, 11], 4), _CAP, 7))
+@example((_rows_of([2, 4, 8, 6, 10, 12, 14, 2, 1], 4), _CAP, 8))
+@example((_rows_of([2, 4, 8, 16, 6, 10, 12, 14, 18, 20, 1, 3, 5, 7], 5), _CAP, 5))
+# controls: one table (m = 8 at width 8) and four (m = 14 at width 4, the last of two columns)
+@example((_rows_of([1, 2, 4, 3, 5, 6, 7, 1], 3), _CAP, 8))
+@example((_rows_of([2, 4, 8, 16, 6, 10, 12, 14, 18, 20, 1, 3, 5, 7], 5), _CAP, 4))
 @settings(max_examples=40, deadline=None)
 def test_scan_on_both_sides_of_the_closing_rule_matches_naive_split(case):
     rows, cap, width = case
@@ -1265,6 +1275,29 @@ def test_closing_rule_examples_close_where_their_comments_say(monkeypatch):
                       set(), set(), set(), set(), set(), {(13, 6, 5)},
                       {(16, 11, 4), (16, 10, 4), (15, 11, 8), (15, 10, 5), (14, 10, 7),
                        (13, 10, 7), (8, 6, 8)}]
+
+
+@pytest.mark.parametrize("k, n, top, dual", [(6, 14, 7, 5), (7, 16, 8, 6)])
+def test_verify_closes_its_tops_with_two_tables_and_the_duals_with_three(k, n, top, dual,
+                                                                          monkeypatch):
+    # verify's 21 scans of m close their top state alone, at a width that splits its
+    # n columns into two OR tables, and the one scan of the dual at three tables
+    closed = set()
+    closes = counting._closes
+
+    def record(m, rem, rows, cols, scans):
+        width = closes(m, rem, rows, cols, scans)
+        if width:
+            closed.add((m, rem, scans, width))
+        return width
+
+    monkeypatch.setattr(counting, "_closes", record)
+    for seed in (1, 2):
+        closed.clear()
+        assert all(ok for _, ok in counting.verify_checks(random_full_rank(k, n, seed=seed),
+                                                          trials=20, seed=seed))
+        assert closed == {(n, k, 21, top), (n, n - k, 1, dual)}
+    assert (-(-n // top), -(-n // dual)) == (2, 3)
 
 
 def test_every_closing_shape_keeps_its_tables_under_the_bit_cap(monkeypatch):
