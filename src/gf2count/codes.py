@@ -133,9 +133,15 @@ def _sliced_counts(rows: tuple[int, ...], n: int) -> list[int]:
     and adds its bit of the walk's word to every lane.  The rest are
     complemented as the walk adds their rows, and each block sums them
     onto the once-summed digits with ``_add_planes``.  The lanes are
-    then split by sum.  Any basis counts right; in a reduced one each
-    low pivot holds just its lane, each high pivot is of the second
-    kind, and at most the n - k non-pivot columns are left to the blocks.
+    then split by sum, top digit first: a part whose lanes all hold the
+    digit, or all lack it, passes on whole, and one that splits pays an
+    AND, a popcount and an XOR.  Each part carries its size, so the half
+    without the digit is counted as the rest of it, and at the last
+    digit, whose parts are only counted, that half needs no XOR: one
+    popcount a split, one fewer than the final parts.  Any basis counts
+    right; in a reduced one each low pivot holds just its lane, each
+    high pivot is of the second kind, and at most the n - k non-pivot
+    columns are left to the blocks.
     """
     k = len(rows)
     t = min(k, _SLICE_BITS)
@@ -168,20 +174,23 @@ def _sliced_counts(rows: tuple[int, ...], n: int) -> list[int]:
             word ^= high[h]
             for i in flips[h]:
                 live[i] ^= ones
-        # split the lanes by sum, one digit at a time
-        parts = [((word & constant).bit_count(), ones)]
-        for b, d in enumerate(_add_planes(live, fixed)):
+        # split the lanes by sum, top digit first; the last digit's parts
+        # are only counted, so there the part without it skips its XOR
+        parts = [((word & constant).bit_count(), ones, width)]
+        for b, d in reversed([*enumerate(_add_planes(live, fixed))]):
             split = []
-            for value, part in parts:
+            for value, part, size in parts:
                 hi = part & d
-                lo = part ^ hi
-                if hi:
-                    split.append((value + (1 << b), hi))
-                if lo:
-                    split.append((value, lo))
+                if not hi:
+                    split.append((value, part, size))
+                elif hi == part:
+                    split.append((value + (1 << b), part, size))
+                else:
+                    c = hi.bit_count()
+                    split += (value + (1 << b), hi, c), (value, part ^ hi if b else part, size - c)
             parts = split
-        for value, part in parts:
-            counts[value] += part.bit_count()
+        for value, _, size in parts:
+            counts[value] += size
     return counts
 
 
@@ -190,9 +199,12 @@ def _add_planes(planes: Sequence[int], seed: Sequence[int] = ()) -> list[int]:
 
     Bit m of digits[b] is bit b of lane m's total: the number of planes
     with bit m set plus the number seed, itself such a digit list, holds
-    at lane m.  Each carry-save full adder (Harley-Seal) turns three
-    planes of one digit into their sum at that digit and their carry at
-    the next, in five big-int operations.
+    at lane m.  The list runs lowest digit first and its last digit is
+    nonzero, so its length is the bit length of the largest total and
+    ``_sliced_counts`` can split from the top digit down.  Each
+    carry-save full adder (Harley-Seal) turns three planes of one digit
+    into their sum at that digit and their carry at the next, in five
+    big-int operations.
     """
     digits: list[int] = []
     level = list(planes)
@@ -220,18 +232,23 @@ def macwilliams(we: WeightEnumerator, dim: int) -> WeightEnumerator:
 
     Expands W(x + y, x - y) / 2^dim with exact integer arithmetic: the
     dual count for weight w is (1 / 2^dim) * sum_d A_d * K_w(d), where
-    the Krawtchouk value
-
-        K_w(d) = sum_j (-1)^j C(d, j) C(n - d, w - j)
-
-    comes from the exact three-term recurrence K_0 = 1, K_{-1} = 0,
-    (w + 1) K_{w+1}(d) = (n - 2d) K_w(d) - (n - w + 1) K_{w-1}(d).
+    the Krawtchouk value K_w(d) = sum_j (-1)^j C(d, j) C(n - d, w - j)
+    is the coefficient of z^w in (1 - z)^d (1 + z)^(n - d).  The whole
+    sum is one polynomial, built by Kronecker substitution as a single
+    int at z = 2^f, Horner-style in d: each step multiplies it by 1 + z
+    and adds A_d (1 - z)^d, and multiplies (1 - z)^d by 1 - z, each
+    product a shift and an add.  Every coefficient is at most
+    2^dim C(n, w) <= 2^(n + dim) in size, so with f = n + dim + 2 each
+    fits a signed f-bit field; half of every field is added, so none
+    borrows from the next, and the fields are read back from weight 0
+    up.
 
     Args:
         we: weight distribution of a code of dimension dim.
         dim: dimension of the primal code.
 
     Raises:
+        DimensionError: dim is not in 0..n.
         ConsistencyError: coefficient sum is not 2^dim, or the transform
             yields a count that is negative or not divisible by 2^dim.
     """
@@ -242,17 +259,16 @@ def macwilliams(we: WeightEnumerator, dim: int) -> WeightEnumerator:
         raise ConsistencyError(
             f"coefficients sum to {we.size}, a dimension-{dim} code has {1 << dim} words"
         )
-    totals = [0] * (n + 1)
-    for d, a_d in enumerate(we.coeffs):
-        if a_d == 0:
-            continue
-        prev, cur = 0, 1
-        for w in range(n + 1):
-            totals[w] += a_d * cur
-            # exact division: every K_w(d) is an integer
-            prev, cur = cur, ((n - 2 * d) * cur - (n - w + 1) * prev) // (w + 1)
+    f = n + dim + 2
+    poly, down = 0, 1  # down is (1 - z)^d at z = 2^f
+    for a_d in we.coeffs:
+        poly += (poly << f) + a_d * down
+        down -= down << f
+    half = 1 << (f - 1)  # each field now holds its coefficient plus half
+    poly += half * ((1 << f * (n + 1)) - 1) // ((1 << f) - 1)
     out = []
-    for w, total in enumerate(totals):
+    for w in range(n + 1):
+        total = (poly >> f * w & (1 << f) - 1) - half
         q, rem = divmod(total, 1 << dim)
         if rem or q < 0:
             raise ConsistencyError(

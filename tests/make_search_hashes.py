@@ -28,7 +28,11 @@ path enters the output, and ``verify`` calls with a supplied dual
 columns.  Five textbook codes and graphs from ``families`` (``structured``:
 the simplex, Hamming and first-order Reed-Muller codes of 15 and 16
 columns, K_6 and W_6), written beside the corpus, add ``sets``, ``count
---mode oracle`` and ``verify`` calls.
+--mode oracle`` and ``verify`` calls.  Seven seeded codes of 22 to 36 columns
+(``wide``) whose duals of dimension 18 to 20 span several blocks of the
+sliced enumerator, one of them even so that its dual holds the all-ones
+word and one holding that word, add ``weights --dual`` (text and JSON)
+and ``weights --format json`` calls.
 ``test_cli.test_search_output_bytes_are_pinned``,
 ``test_cli.test_command_output_bytes_are_pinned`` and
 ``test_cli.test_corpus_output_bytes_are_pinned`` replay them.
@@ -246,6 +250,33 @@ def structured() -> dict[str, str]:
             for name, rows in STRUCTURED_ROWS}
 
 
+WIDE = "wide"  # the wide codes' directory, beside the corpus
+# (k, n, kind): full-rank codes whose duals, of dimension 18 to 20, span several
+# sliced blocks of the enumerator; the weights_dual shapes and a 4 x 22, an "even"
+# code, whose last column is the sum of the others, so its dual holds the all-ones
+# word, and a "ones" code, whose last row is the all-ones word, so its one-block
+# enumeration sums a lane to 34, past the 32 digit, and its dual is even
+WIDE_SHAPES = ((14, 34, ""), (15, 34, ""), (16, 35, ""), (16, 36, ""), (4, 22, ""),
+               (14, 34, "even"), (14, 34, "ones"))
+
+
+def wide() -> dict[str, str]:
+    """The WIDE_SHAPES matrices, relative file name to text, drawn by
+    ``random_columns`` from an RNG of their own."""
+    rng = random.Random(34)
+    files = {}
+    for i, (k, n, kind) in enumerate(WIDE_SHAPES):
+        if kind == "ones":
+            cols = [c | 1 << (k - 1) for c in random_columns(rng, k - 1, n, 0, 0)]
+        else:
+            cols = random_columns(rng, k, n - (kind == "even"), 0, 0)
+        if kind == "even":
+            cols.append(reduce(xor, cols))
+        text = "".join("".join(str(c >> r & 1) for c in cols) + "\n" for r in range(k))
+        files[f"{WIDE}/{i:02d}_{k}x{n}{'_' + kind if kind else ''}.txt"] = text
+    return files
+
+
 def corpus_duals(files: dict[str, str]) -> dict[str, tuple[str, str]]:
     """A dual generator for each CORPUS_SHAPES matrix of at most 15 columns
     whose systematic form moves columns, in the matrix's own column order, by
@@ -288,21 +319,25 @@ def _corpus_argvs() -> list[list[str]]:
         calls += [["sets", path, "--format", "json"],
                   ["count", path, "--mode", "oracle", "--format", "json"],
                   ["verify", path, "--trials", "3"]]
+    for path in wide():
+        calls += [["weights", path, "--dual"], ["weights", path, "--dual", "--format", "json"],
+                  ["weights", path, "--format", "json"]]
     return calls
 
 
 def write_corpus(root: Path) -> None:
-    """Write ``corpus()``, its ``corpus_duals`` and ``structured()`` under root,
-    where the corpus calls run."""
-    (root / CORPUS).mkdir()
-    (root / STRUCTURED).mkdir()
+    """Write ``corpus()``, its ``corpus_duals``, ``structured()`` and ``wide()``
+    under root, where the corpus calls run."""
+    for directory in (CORPUS, STRUCTURED, WIDE):
+        (root / directory).mkdir()
     files = corpus()
-    for name, text in [*files.items(), *corpus_duals(files).values(), *structured().items()]:
+    for name, text in [*files.items(), *corpus_duals(files).values(), *structured().items(),
+                       *wide().items()]:
         (root / name).write_text(text)
 
 
 def in_corpus(argv: list[str]) -> bool:
-    return len(argv) > 1 and argv[1].startswith((CORPUS + "/", STRUCTURED + "/"))
+    return len(argv) > 1 and argv[1].startswith((CORPUS + "/", STRUCTURED + "/", WIDE + "/"))
 
 
 def outcome(argv: list[str], cwd: Path = ROOT) -> dict:

@@ -176,3 +176,23 @@ def kirchhoff_count(rows: list[list[int]]) -> int:
     shared = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
     return bareiss_determinant([[c if i == j else -c for j, c in enumerate(row)]
                                 for i, row in enumerate(shared)])
+
+
+def naive_macwilliams(coeffs: list[int], dim: int) -> list[int]:
+    """The dual weight distribution by the MacWilliams identity, term by term.
+
+    Weight w's count is sum_d A_d K_w(d) / 2^dim, with each Krawtchouk
+    value K_w(d) = sum_j (-1)^j C(d, j) C(n - d, w - j) summed from
+    binomials.  Raises ValueError(w, total) at the first weight whose
+    total is not a nonnegative multiple of 2^dim.
+    """
+    n = len(coeffs) - 1
+    out = []
+    for w in range(n + 1):
+        total = sum(a * sum((-1) ** j * comb(d, j) * comb(n - d, w - j)
+                            for j in range(min(w, d) + 1))
+                    for d, a in enumerate(coeffs) if a)
+        if total % (1 << dim) or total < 0:
+            raise ValueError(w, total)
+        out.append(total >> dim)
+    return out

@@ -565,11 +565,12 @@ def test_command_output_bytes_are_pinned():
 def test_corpus_output_bytes_are_pinned(tmp_path):
     # sets, count --list-sets and verify on seeded random matrices, every
     # command on rank-deficient ones, and sets, count --mode oracle and verify
-    # on textbook codes and graphs, run where the corpus is written so that
-    # no absolute path enters the output
+    # on textbook codes and graphs, and weights (--dual among them) on wide
+    # codes whose duals span several sliced blocks, run where the corpus is
+    # written so that no absolute path enters the output
     write_corpus(tmp_path)
     entries = [entry for entry in json.loads(HASHES.read_text()) if in_corpus(entry["argv"])]
-    assert len(entries) == 151
+    assert len(entries) == 172
     changed = [" ".join(entry["argv"]) for entry in entries
                if outcome(entry["argv"], tmp_path) != entry]
     assert not changed, "output changed for:\n" + "\n".join(changed)

@@ -2,9 +2,10 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import identity
+from families import simplex
 from gf2count import codes
 from gf2count.gf2 import reduced_basis
 from gf2count import (
@@ -25,7 +26,7 @@ from gf2count import (
     systematic_form,
     weight_enumerator,
 )
-from naive import naive_dual_basis, naive_weight_counts, row_lists
+from naive import naive_dual_basis, naive_macwilliams, naive_weight_counts, row_lists
 
 
 @st.composite
@@ -150,6 +151,46 @@ def test_small_sliced_blocks_match_naive(m, block_bits, rnd):
         mp.setattr(codes, "_slices", lambda k, n: True)
         mp.setattr(codes, "_SLICE_BITS", block_bits)
         assert list(weight_enumerator(m).coeffs) == counts
+
+
+def _heavy_even(n: int, k: int) -> list[list[int]]:
+    """[I | P] with rows of even weight, for n - k even and at least 32: row 0
+    weighs n - k, so its lane alone reaches the 32 digit at any block width."""
+    rows = [[int(i == j) for j in range(k)] + [0] * (n - k) for i in range(k)]
+    rows[0][k:-1] = [1] * (n - k - 1)
+    rows[1][-1] = 1
+    for i in range(2, k):
+        rows[i][k + i] = 1
+    return rows
+
+
+SPLIT_EDGES = {
+    # every nonzero word of a simplex code weighs 2^(r - 1), so in each block
+    # past the first all lanes share one sum: the one part's count is derived
+    "simplex_4": simplex(4),
+    "simplex_5": simplex(5),
+    # even codes of length 36 and 40 with sums of 32 and more
+    "even_36": _heavy_even(36, 4),
+    "even_40": _heavy_even(40, 6),
+    # zero columns (5 and 6), and columns only the high rows hold (9 and 10,
+    # and the high pivots), which add the walk's word to every lane
+    # (``constant``); column 8 is held by low and high rows alike
+    "constant": [[int(c) for c in row] for row in ("10000001100", "01000000100",
+                                                   "00100001000", "00010000011",
+                                                   "00001000110")],
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_EDGES)
+@pytest.mark.parametrize("block_bits", [1, 2, 3])
+def test_split_edge_cases_match_naive(name, block_bits):
+    rows = SPLIT_EDGES[name]
+    m = BitMatrix.from_lists(rows)
+    assert rank(m) == m.rows > block_bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_slices", lambda k, n: True)
+        mp.setattr(codes, "_SLICE_BITS", block_bits)
+        assert list(weight_enumerator(m).coeffs) == naive_weight_counts(rows)
 
 
 @pytest.mark.parametrize("k", [17, 18])
@@ -354,6 +395,57 @@ def test_macwilliams_involution(m):
     k, n = m.rows, m.cols
     we = weight_enumerator(m)
     assert macwilliams(macwilliams(we, k), n - k) == we
+
+
+def test_macwilliams_rejects_dimension_out_of_range():
+    we = WeightEnumerator(3, (1, 0, 0, 0))
+    for dim in (-1, 4):
+        with pytest.raises(DimensionError, match=f"dimension {dim} out of range for length 3"):
+            macwilliams(we, dim)
+
+
+@st.composite
+def distributions(draw):
+    """(n, dim, coeffs): n in 1..120, dim in 0..n and nonnegative counts summing
+    to 2^dim, coeffs[0] >= 1 and at most 12 of them nonzero; few are a code's."""
+    n = draw(st.integers(1, 120))
+    dim = draw(st.integers(0, n))
+    weights = draw(st.lists(st.integers(1, n), max_size=11, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=len(weights),
+                                max_size=len(weights))))
+    coeffs = [0] * (n + 1)
+    for w, a, b in zip([0, *weights], [0, *cuts], [*cuts, (1 << dim) - 1]):
+        coeffs[w] = b - a
+    coeffs[0] += 1
+    return n, dim, coeffs
+
+
+@st.composite
+def code_distributions(draw):
+    """(n, dim, coeffs) of a random full-rank code of length up to 48."""
+    m = draw(full_rank_matrices(max_rows=8, max_cols=48))
+    return m.cols, m.rows, list(weight_enumerator(m).coeffs)
+
+
+@given(st.one_of(distributions(), code_distributions()))
+@example((120, 0, [1] + [0] * 120))  # the zero code, whose dual is everything
+@example((120, 120, [comb(120, d) for d in range(121)]))
+@example((2, 2, [1, 0, 3]))  # weight 1's total, -4, is a multiple of 4 but negative
+@settings(max_examples=80, deadline=None)
+def test_macwilliams_matches_the_binomial_sums(case):
+    # the same counts as Krawtchouk values summed from binomials, or the same
+    # error at the same weight with the same total
+    n, dim, coeffs = case
+    we = WeightEnumerator(n, tuple(coeffs))
+    try:
+        want = naive_macwilliams(coeffs, dim)
+    except ValueError as exc:
+        w, total = exc.args
+        with pytest.raises(ConsistencyError) as info:
+            macwilliams(we, dim)
+        assert str(info.value) == f"transform gave {total} at weight {w}, not a multiple of 2^{dim}"
+    else:
+        assert list(macwilliams(we, dim).coeffs) == want
 
 
 def test_effective_distance_values(effdist36):
